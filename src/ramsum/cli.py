@@ -18,14 +18,13 @@ import sys
 from dataclasses import dataclass
 from itertools import product as cartesian
 
-from .arith import mobius, euler_phi  # noqa: F401  (re-exported for interactive use)
 from .asymptotics import alpha_r, asymptotic_report
 from .congruences import count_roots, parse_polynomial
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
 from .even import t_a
 from .products import e_g_direct, e_g_fast, e_shift, r_g_direct, r_g_fast, r_shift
 from .ramanujan import ramanujan_sum
-from .verify import run_suite, suite_names, worker_count
+from .verify import run_suite, suite_names
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -293,11 +292,18 @@ def execute(req: CommandRequest) -> tuple[int, str]:
 
     if cmd == "asymptotic":
         rep = asymptotic_report(req.r, req.x, req.prime_bound)
+        try:
+            empirical = f"{rep.empirical.numerator}/{rep.empirical.denominator}"
+        except ValueError:
+            raise ScaleError(
+                f"exact partial sum at x={req.x} exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit int-to-str conversion limit"
+            )
         fields = [
             ("r", rep.r),
             ("x", rep.x),
             ("prime_bound", rep.alpha_truncation),
-            ("empirical", f"{rep.empirical.numerator}/{rep.empirical.denominator}"),
+            ("empirical", empirical),
             ("predicted", rep.predicted),
             ("ratio", rep.ratio),
         ]
@@ -310,7 +316,7 @@ def execute(req: CommandRequest) -> tuple[int, str]:
         return EXIT_OK, "\n".join(f"{k}={v}" for k, v in fields)
 
     if cmd == "verify":
-        results = run_suite(req.suite, req.max, worker_count())
+        results = run_suite(req.suite, req.max)
         failed = sum(1 for _, ok in results if not ok)
         if req.format == "json":
             out = json.dumps(

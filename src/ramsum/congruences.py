@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import as_moduli_tuple
+from .arith import ModuliTuple, as_moduli_tuple
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
 
 _DIRECT_SCAN_CAP = 10**6
@@ -67,6 +67,15 @@ def as_poly_system(system) -> PolySystem:
         system = (system,)
     polys = tuple(parse_polynomial(g) if isinstance(g, str) else g for g in system)
     return PolySystem(polys)
+
+
+def as_system_and_moduli(system, moduli) -> tuple[PolySystem, ModuliTuple]:
+    """Coerce a system and its moduli, one modulus per polynomial."""
+    sys_ = as_poly_system(system)
+    mt = as_moduli_tuple(moduli)
+    if len(sys_) != len(mt):
+        raise DomainError(f"{len(sys_)} polynomials but {len(mt)} moduli")
+    return sys_, mt
 
 
 @dataclass(frozen=True)
@@ -172,10 +181,7 @@ def count_roots(system, moduli, units_only: bool = False, strategy: str = "multi
     equivalent to gcd(x, lcm) = 1.  Strategy "direct" scans the full
     residue range; "multiplicative" multiplies per-prime local counts.
     """
-    sys_ = as_poly_system(system)
-    mt = as_moduli_tuple(moduli)
-    if len(sys_) != len(mt):
-        raise DomainError(f"{len(sys_)} polynomials but {len(mt)} moduli")
+    sys_, mt = as_system_and_moduli(system, moduli)
     m = mt.lcm.value
     if strategy == "direct":
         if m > _DIRECT_SCAN_CAP:

@@ -8,18 +8,20 @@ For a system G = (g_1, ..., g_r) of integer polynomials and moduli
   * ``r_g_direct``/``r_g_fast`` compute the same product summed over the
     k coprime to m (no averaging).
 
-The fast paths rewrite the sums as divisor-tuple convolutions weighted by
-root counts of the congruence system and evaluate them prime by prime, so
-their cost is governed by the exponent profile of m rather than by m
-itself.  ``e_shift``/``r_shift`` specialize to linear systems x - a_i
-where the root counts have closed forms, and ``r_prime_power`` evaluates
-the all-ones-shift function R on prime-power tuples directly.
+The fast paths rewrite the sums as one divisor-tuple convolution weighted
+by root counts of the congruence system and evaluate it prime by prime:
+at most 2^r divisor terms per prime of m.  Each generic root count scans
+all p^max(e) residues, so their cost still grows with the largest prime
+power dividing m, not only with its exponent profile.  ``e_shift``/
+``r_shift`` specialize to linear systems x - a_i where the root counts
+are a CRT solvability test, and ``r_prime_power`` evaluates the
+all-ones-shift function R on prime-power tuples directly.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as cartesian
 
 import numpy as np
@@ -34,7 +36,7 @@ from .arith import (
     mobius,
     multiplicative_eval,
 )
-from .congruences import IntPolynomial, _local_root_count, as_poly_system, poly_eval_mod
+from .congruences import IntPolynomial, _local_root_count, as_system_and_moduli, poly_eval_mod
 from .errors import ConsistencyError, DomainError, ScaleError
 from .ramanujan import ramanujan_row, ramanujan_sum
 
@@ -108,10 +110,7 @@ def e_g_direct(system, moduli) -> int:
     The raw sum is always divisible by m; a failed division is an
     internal error, not a property of the input.
     """
-    sys_ = as_poly_system(system)
-    mt = as_moduli_tuple(moduli)
-    if len(sys_) != len(mt):
-        raise DomainError(f"{len(sys_)} polynomials but {len(mt)} moduli")
+    sys_, mt = as_system_and_moduli(system, moduli)
     m = mt.lcm.value
     if m > _ORACLE_CAP:
         raise ScaleError(f"definitional oracle capped at lcm <= 10^6, got {m}")
@@ -124,10 +123,7 @@ def e_g_direct(system, moduli) -> int:
 
 def r_g_direct(system, moduli) -> int:
     """sum over k <= m coprime to m of prod_i c_{m_i}(g_i(k))."""
-    sys_ = as_poly_system(system)
-    mt = as_moduli_tuple(moduli)
-    if len(sys_) != len(mt):
-        raise DomainError(f"{len(sys_)} polynomials but {len(mt)} moduli")
+    sys_, mt = as_system_and_moduli(system, moduli)
     if mt.lcm.value > _ORACLE_CAP:
         raise ScaleError(f"definitional oracle capped at lcm <= 10^6, got {mt.lcm.value}")
     return _product_sum(sys_, mt, coprime_only=True)
@@ -164,26 +160,45 @@ def _phi_ratio(p: int, a: int, j: int) -> int:
     return p ** (a - 1) * (p - 1)
 
 
-def e_g_fast(system, moduli) -> int:
-    """Averaged product sum via the divisor convolution with root counts.
+def _convolve(mt, root_count, coprime: bool) -> int:
+    """The mu-weighted divisor convolution behind every fast path.
 
-    Equals ``e_g_direct`` everywhere; cost is per-prime in the moduli.
+    ``root_count(p, jvec, coprime)`` counts the roots x mod p^max(jvec)
+    of the local system (units only when ``coprime``).  The full-range
+    sum weights that count by p^(sum j - max j); the coprime sum weights
+    it by p^(sum j) * phi(p^a) / phi(p^max j) with a the top exponent.
     """
-    sys_ = as_poly_system(system)
-    mt = as_moduli_tuple(moduli)
-    if len(sys_) != len(mt):
-        raise DomainError(f"{len(sys_)} polynomials but {len(mt)} moduli")
-    key = tuple(g.coeffs for g in sys_.polys)
 
     def local(p, avec):
+        amax = max(avec)
         acc = 0
         for jvec, sign in _mu_terms(avec):
-            nloc = _local_root_count(key, p, jvec, False)
-            if nloc:
-                acc += sign * p ** (sum(jvec) - max(jvec)) * nloc
+            n = root_count(p, jvec, coprime)
+            if n:
+                jmax = max(jvec)
+                if coprime:
+                    acc += sign * p ** sum(jvec) * n * _phi_ratio(p, amax, jmax)
+                else:
+                    acc += sign * p ** (sum(jvec) - jmax) * n
         return acc
 
     return multiplicative_eval(local, mt)
+
+
+def _poly_convolve(system, moduli, coprime: bool) -> int:
+    sys_, mt = as_system_and_moduli(system, moduli)
+    key = tuple(g.coeffs for g in sys_.polys)
+    return _convolve(mt, partial(_local_root_count, key), coprime)
+
+
+def e_g_fast(system, moduli) -> int:
+    """Averaged product sum via the divisor convolution with root counts.
+
+    Equals ``e_g_direct`` everywhere.  The convolution runs prime by
+    prime, but each root count scans all p^max(e) residues, so the cost
+    grows with the largest prime power dividing m.
+    """
+    return _poly_convolve(system, moduli, False)
 
 
 def r_g_fast(system, moduli) -> int:
@@ -191,36 +206,38 @@ def r_g_fast(system, moduli) -> int:
 
     Equals ``r_g_direct`` everywhere.
     """
-    sys_ = as_poly_system(system)
-    mt = as_moduli_tuple(moduli)
-    if len(sys_) != len(mt):
-        raise DomainError(f"{len(sys_)} polynomials but {len(mt)} moduli")
-    key = tuple(g.coeffs for g in sys_.polys)
-
-    def local(p, avec):
-        amax = max(avec)
-        acc = 0
-        for jvec, sign in _mu_terms(avec):
-            eta = _local_root_count(key, p, jvec, True)
-            if eta:
-                acc += sign * p ** sum(jvec) * eta * _phi_ratio(p, amax, max(jvec))
-        return acc
-
-    return multiplicative_eval(local, mt)
+    return _poly_convolve(system, moduli, True)
 
 
 # ---------------------------------------------------------------------------
 # linear-shift specializations
 
 
-def _shift_solvable(p, jvec, shifts) -> bool:
-    r = len(jvec)
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = min(jvec[i], jvec[j])
-            if e and (shifts[i] - shifts[j]) % p**e:
-                return False
-    return True
+def _shift_root_count(shifts, p, jvec, units_only: bool) -> int:
+    """Roots x mod p^max(jvec) of x = a_i (mod p^j_i): 1 if solvable, else 0.
+
+    The moduli p^j_i form a divisor chain, so the system is solvable iff
+    a_i = a_t (mod p^j_i) for every i, with t a position of the top
+    exponent; the root is then a_t, a unit iff p does not divide it.
+    """
+    jmax = max(jvec)
+    top = shifts[jvec.index(jmax)]
+    if units_only and jmax and top % p == 0:
+        return 0
+    for j, a in zip(jvec, shifts):
+        if j and (a - top) % p**j:
+            return 0
+    return 1
+
+
+def _shift_args(shifts, moduli, strategy: str):
+    sh = tuple(int(a) for a in shifts)
+    mt = as_moduli_tuple(moduli)
+    if len(sh) != len(mt):
+        raise DomainError(f"{len(sh)} shifts but {len(mt)} moduli")
+    if strategy not in ("auto", "general"):
+        raise DomainError(f"unknown strategy {strategy!r}")
+    return sh, mt
 
 
 def e_shift(shifts, moduli, strategy: str = "auto") -> int:
@@ -231,26 +248,13 @@ def e_shift(shifts, moduli, strategy: str = "auto") -> int:
     "general" always runs the divisor convolution, here with the CRT
     solvability indicator in place of generic root counts.
     """
-    sh = tuple(int(a) for a in shifts)
-    mt = as_moduli_tuple(moduli)
-    if len(sh) != len(mt):
-        raise DomainError(f"{len(sh)} shifts but {len(mt)} moduli")
-    if strategy not in ("auto", "general"):
-        raise DomainError(f"unknown strategy {strategy!r}")
+    sh, mt = _shift_args(shifts, moduli, strategy)
     if strategy == "auto" and len(sh) == 2 and abs(sh[0] - sh[1]) == 1:
         m1, m2 = mt.moduli
         if m1 == m2 and is_squarefree(m1):
             return (-1) ** distinct_prime_count(m1)
         return 0
-
-    def local(p, avec):
-        acc = 0
-        for jvec, sign in _mu_terms(avec):
-            if _shift_solvable(p, jvec, sh):
-                acc += sign * p ** (sum(jvec) - max(jvec))
-        return acc
-
-    return multiplicative_eval(local, mt)
+    return _convolve(mt, partial(_shift_root_count, sh), False)
 
 
 def r_shift(shifts, moduli, strategy: str = "auto") -> int:
@@ -262,12 +266,7 @@ def r_shift(shifts, moduli, strategy: str = "auto") -> int:
     (-1)^omega(g) * psi(g) with g = gcd(m_1, m_2), and 0 otherwise.
     Strategy "general" always runs the phi-weighted divisor convolution.
     """
-    sh = tuple(int(a) for a in shifts)
-    mt = as_moduli_tuple(moduli)
-    if len(sh) != len(mt):
-        raise DomainError(f"{len(sh)} shifts but {len(mt)} moduli")
-    if strategy not in ("auto", "general"):
-        raise DomainError(f"unknown strategy {strategy!r}")
+    sh, mt = _shift_args(shifts, moduli, strategy)
     if strategy == "auto":
         ms = mt.moduli
         if all(
@@ -289,18 +288,7 @@ def r_shift(shifts, moduli, strategy: str = "auto") -> int:
                 g = math.gcd(ms[0], ms[1])
                 return (-1) ** distinct_prime_count(g) * dedekind_psi(g)
             return 0
-
-    def local(p, avec):
-        amax = max(avec)
-        acc = 0
-        for jvec, sign in _mu_terms(avec):
-            if any(j and a % p == 0 for j, a in zip(jvec, sh)):
-                continue
-            if _shift_solvable(p, jvec, sh):
-                acc += sign * p ** sum(jvec) * _phi_ratio(p, amax, max(jvec))
-        return acc
-
-    return multiplicative_eval(local, mt)
+    return _convolve(mt, partial(_shift_root_count, sh), True)
 
 
 def r_func(moduli) -> int:

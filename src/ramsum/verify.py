@@ -3,14 +3,11 @@
 Each suite is a deterministic list of (label, check) pairs; checks return
 True/False.  Labels are generated in canonical sorted-input order, so the
 printed output is byte-stable across runs.  Randomized suites draw from a
-fixed-seed generator.  The worker count for running checks is capped by
-the RAMSUM_THREADS environment variable.
+fixed-seed generator.
 """
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .arith import (
@@ -41,30 +38,6 @@ from .ramanujan import ramanujan_row, ramanujan_sum
 POLY_CORPUS = ("x", "x-1", "x-2", "x+1", "x^2-1", "x^2+x+1", "2x-1")
 
 _SEED = 20120183
-
-
-def worker_count() -> int:
-    env = os.environ.get("RAMSUM_THREADS", "")
-    if env.strip():
-        try:
-            n = int(env)
-        except ValueError:
-            raise DomainError(f"RAMSUM_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise DomainError(f"RAMSUM_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
-def _run(cases, threads: int | None = None):
-    """Execute (label, thunk) pairs, preserving order; returns (label, ok) pairs."""
-    cases = list(cases)
-    threads = threads or worker_count()
-    if threads > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, 32)) as pool:
-            oks = list(pool.map(lambda c: bool(c[1]()), cases))
-        return [(label, ok) for (label, _), ok in zip(cases, oks)]
-    return [(label, bool(thunk())) for label, thunk in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +414,14 @@ def suite_names() -> list[str]:
     return list(_SUITES)
 
 
-def run_suite(name: str, max_n: int | None = None, threads: int | None = None):
+def run_suite(name: str, max_n: int | None = None):
     """Run one named suite (or "all"); returns (label, ok) pairs in order."""
     if name == "all":
         out = []
         for sub in _SUITES:
-            out += [(f"{sub}: {label}", ok) for label, ok in run_suite(sub, max_n, threads)]
+            out += [(f"{sub}: {label}", ok) for label, ok in run_suite(sub, max_n)]
         return out
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)} or 'all'")
     builder, default_max = _SUITES[name]
-    return _run(builder(max_n or default_max), threads)
+    return [(label, bool(thunk())) for label, thunk in builder(max_n or default_max)]

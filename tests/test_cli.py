@@ -165,18 +165,6 @@ def test_verify_output_is_byte_deterministic():
     assert first.stdout == second.stdout
 
 
-def test_thread_cap_respected(monkeypatch, capsys):
-    monkeypatch.setenv("RAMSUM_THREADS", "1")
-    code, out, _ = run_main(capsys, "verify", "--suite", "dirichlet", "--max", "60")
-    assert code == 0 and "3/3" in out
-    monkeypatch.setenv("RAMSUM_THREADS", "2")
-    code, out2, _ = run_main(capsys, "verify", "--suite", "dirichlet", "--max", "60")
-    assert code == 0 and out2 == out
-    monkeypatch.setenv("RAMSUM_THREADS", "zebra")
-    code, _, err = run_main(capsys, "verify", "--suite", "dirichlet", "--max", "60")
-    assert code == 2
-
-
 def test_execute_returns_status_and_text():
     code, out = execute(parse_args(["alpha", "--r", "2", "--prime-bound", "2"]))
     assert code == 0 and out == "0.6875"
@@ -197,3 +185,15 @@ def test_asymptotic_formats(capsys):
     from ramsum import g_r_partial_sum
 
     assert Fraction(int(num), int(den)) == g_r_partial_sum(2, 50)
+
+
+def test_asymptotic_beyond_digit_limit_is_scale_error(capsys):
+    code, out, err = run_main(capsys, "asymptotic", "--r", "2", "--x", "12000")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert "scale error" in err and "4300-digit" in err
+    code, out, err = run_main(capsys, "asymptotic", "--r", "2", "--x", "12000", "--format", "json")
+    assert code == 3 and err == ""
+    payload = json.loads(out)
+    assert payload["error"]["type"] == "scale"
+    assert "4300-digit" in payload["error"]["message"]

@@ -137,6 +137,14 @@ def test_e_shift_equals_direct_oracle():
         want = e_g_direct(linear_system(sh), ms)
         assert e_shift(sh, ms) == want
         assert e_shift(sh, ms, strategy="general") == want
+    # four shifts, prime-power moduli, shifts far outside the moduli
+    for _ in range(150):
+        r = rng.randint(1, 4)
+        sh = tuple(rng.randint(-100, 100) for _ in range(r))
+        ms = tuple(rng.choice((8, 9, 16, 27, rng.randint(1, 12))) for _ in range(r))
+        want = e_g_direct(linear_system(sh), ms)
+        assert e_shift(sh, ms) == want, (sh, ms)
+        assert e_shift(sh, ms, strategy="general") == want, (sh, ms)
 
 
 def test_adjacent_shift_rule():
@@ -166,6 +174,14 @@ def test_r_shift_equals_direct_oracle():
         want = r_g_direct(linear_system(sh), ms)
         assert r_shift(sh, ms) == want
         assert r_shift(sh, ms, strategy="general") == want
+    # four shifts, prime-power moduli, shifts far outside the moduli
+    for _ in range(150):
+        r = rng.randint(1, 4)
+        sh = tuple(rng.randint(-100, 100) for _ in range(r))
+        ms = tuple(rng.choice((8, 9, 16, 27, rng.randint(1, 12))) for _ in range(r))
+        want = r_g_direct(linear_system(sh), ms)
+        assert r_shift(sh, ms) == want, (sh, ms)
+        assert r_shift(sh, ms, strategy="general") == want, (sh, ms)
 
 
 def test_single_variable_shift_rule():
