@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as cartesian
 
 from .asymptotics import alpha_r, asymptotic_report
-from .congruences import count_roots, parse_polynomial
+from .congruences import count_roots, linear_shift_poly, parse_polynomial
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
 from .even import t_a
 from .products import e_g_direct, e_g_fast, e_shift, r_g_direct, r_g_fast, r_shift
@@ -189,14 +189,14 @@ def _value_for(req: CommandRequest, moduli: tuple[int, ...]):
             fn = e_g_direct if req.strategy == "direct" else e_g_fast
             return fn(req.polys, moduli)
         if req.strategy == "direct":
-            return e_g_direct(tuple(f"x-{a}" if a >= 0 else f"x+{-a}" for a in req.shifts), moduli)
+            return e_g_direct(tuple(map(linear_shift_poly, req.shifts)), moduli)
         return e_shift(req.shifts, moduli)
     if cmd == "R":
         if req.polys:
             fn = r_g_direct if req.strategy == "direct" else r_g_fast
             return fn(req.polys, moduli)
         if req.strategy == "direct":
-            return r_g_direct(tuple(f"x-{a}" if a >= 0 else f"x+{-a}" for a in req.shifts), moduli)
+            return r_g_direct(tuple(map(linear_shift_poly, req.shifts)), moduli)
         return r_shift(req.shifts, moduli)
     if cmd == "T":
         return t_a(moduli, req.a, strategy=req.strategy)

@@ -44,7 +44,7 @@ class IntPolynomial:
 
 def linear_shift_poly(a: int) -> IntPolynomial:
     """The polynomial x - a."""
-    return IntPolynomial((-a, 1)) if a else IntPolynomial((0, 1))
+    return IntPolynomial((-a, 1))
 
 
 @dataclass(frozen=True)

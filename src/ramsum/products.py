@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product as cartesian
-
-import numpy as np
+from itertools import compress, cycle, islice, product as cartesian
+from operator import mul
 
 from .arith import (
     _as_factored,
@@ -41,7 +40,6 @@ from .errors import ConsistencyError, DomainError, ScaleError
 from .ramanujan import ramanujan_row, ramanujan_sum
 
 _ORACLE_CAP = 10**6
-_INT64_SAFE = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -50,58 +48,40 @@ _INT64_SAFE = 1 << 62
 
 @lru_cache(maxsize=1024)
 def _poly_c_values(coeffs: tuple[int, ...], m: int):
-    """c_m(g(x)) for x = 0..m-1, as a read-only int64 array plus its max abs."""
+    """c_m(g(x)) for x = 0..m-1, as a tuple plus its max abs (at least 1)."""
     row = ramanujan_row(m)
     g = IntPolynomial(coeffs)
-    vals = [row[poly_eval_mod(g, x, m)] for x in range(m)]
-    arr = np.array(vals, dtype=np.int64)
-    arr.flags.writeable = False
-    return arr, max(1, max(abs(v) for v in vals))
+    vals = tuple(row[poly_eval_mod(g, x, m)] for x in range(m))
+    return vals, max(1, max(map(abs, vals)))
 
 
 @lru_cache(maxsize=64)
-def _coprime_mask(m: int):
-    """Boolean array over residues 0..m-1 marking gcd(k, m) = 1."""
-    mask = np.ones(m, dtype=bool)
+def _coprime_mask(m: int) -> bytes:
+    """One byte per residue 0..m-1: 1 where gcd(k, m) = 1, else 0."""
+    mask = bytearray(b"\x01") * m
     if m > 1:
         for p, _ in factorize(m).factors:
-            mask[::p] = False
-    arr = mask
-    arr.flags.writeable = False
-    return arr
+            mask[::p] = bytes(len(range(0, m, p)))
+    return bytes(mask)
 
 
 def _product_sum(system, mt, coprime_only: bool) -> int:
     """sum over residues k mod m of prod_i c_{m_i}(g_i(k)), exactly.
 
-    Uses a vectorized int64 path when a conservative bound on every
-    partial result fits in 62 bits, otherwise falls back to unbounded
-    Python integers; overflow is excluded up front, never wrapped.
+    The cached rows c_{m_i}(g_i(x)), x mod m_i, are multiplied term by
+    term in unbounded Python integers, as one lazy chain: after row i the
+    running product has period lcm(m_1, ..., m_i), so each step cycles the
+    product so far and row i to that length, not to m.
     """
     m = mt.lcm.value
-    parts = []
-    bound = m
-    for g, mi in zip(system.polys, mt.moduli):
-        arr, vmax = _poly_c_values(g.coeffs, mi)
-        parts.append((arr, mi))
-        bound *= vmax
-    if bound < _INT64_SAFE:
-        acc = np.ones(m, dtype=np.int64)
-        for arr, mi in parts:
-            acc *= np.tile(arr, m // mi)
-        if coprime_only:
-            return int(acc[_coprime_mask(m)].sum())
-        return int(acc.sum())
-    rows = [([int(v) for v in arr], mi) for arr, mi in parts]
-    total = 0
-    for k in range(m):
-        if coprime_only and math.gcd(k, m) != 1:
-            continue
-        prod = 1
-        for vals, mi in rows:
-            prod *= vals[k % mi]
-        total += prod
-    return total
+    first, *rest = (_poly_c_values(g.coeffs, mi)[0] for g, mi in zip(system.polys, mt.moduli))
+    terms, period = first, len(first)
+    for row in rest:
+        period = math.lcm(period, len(row))
+        terms = map(mul, islice(cycle(terms), period), cycle(row))
+    if coprime_only:
+        terms = compress(terms, _coprime_mask(m))
+    return sum(terms)
 
 
 def e_g_direct(system, moduli) -> int:

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import _valuation, divisors, euler_phi, factorize, mobius
 from .errors import DomainError, ScaleError
 
@@ -78,10 +76,10 @@ def ramanujan_sum_exponential(n: int, k: int) -> float:
         raise DomainError(f"modulus must be positive, got {n}")
     if n > 10_000:
         raise ScaleError(f"exponential oracle capped at n <= 10^4, got {n}")
-    js = np.arange(1, n + 1, dtype=np.int64)
-    js = js[np.gcd(js, n) == 1]
-    ang = (js * (k % n)) % n
-    return float(np.cos(2.0 * np.pi * ang / n).sum())
+    k %= n
+    return math.fsum(
+        math.cos(2.0 * math.pi * (j * k % n) / n) for j in range(1, n + 1) if math.gcd(j, n) == 1
+    )
 
 
 @dataclass(frozen=True)

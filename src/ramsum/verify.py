@@ -20,7 +20,7 @@ from .arith import (
     mobius,
 )
 from .asymptotics import asymptotic_report, dirichlet_decomposition_check
-from .congruences import count_roots, linear_system_root_count
+from .congruences import count_roots
 from .even import coprime_shift_sum, ramanujan_even, s_even, t_a
 from .errors import DomainError
 from .products import (

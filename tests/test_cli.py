@@ -165,6 +165,14 @@ def test_verify_output_is_byte_deterministic():
     assert first.stdout == second.stdout
 
 
+def test_runtime_imports_leave_numpy_out():
+    # numpy is a test-only dependency: the package and its CLI never load it
+    code = "import sys, ramsum, ramsum.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_execute_returns_status_and_text():
     code, out = execute(parse_args(["alpha", "--r", "2", "--prime-bound", "2"]))
     assert code == 0 and out == "0.6875"

@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import product
 
 import pytest
 

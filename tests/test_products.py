@@ -13,6 +13,7 @@ from ramsum import (
     e_g_direct,
     e_g_fast,
     e_shift,
+    euler_phi,
     g_r_value,
     h_value,
     is_squarefree,
@@ -81,6 +82,13 @@ def test_fast_equals_direct_mixed_systems():
         ms = tuple(rng.randint(1, 10) for _ in range(r))
         assert e_g_fast(sys_, ms) == e_g_direct(sys_, ms), (sys_, ms)
         assert r_g_fast(sys_, ms) == r_g_direct(sys_, ms), (sys_, ms)
+    # r = 4 with lcm 17017: every polynomial has a root mod every modulus,
+    # so max |c_{m_i}(g_i(k))| = phi(m_i) and the bound m * prod phi(m_i)
+    # on the raw sum's partial sums is past 2^62, unsafe for int64.
+    sys_, ms = ("x", "x-1", "x^2-1", "x+1"), (17017,) * 3 + (2431,)
+    assert math.lcm(*ms) * math.prod(map(euler_phi, ms)) >= 2**62
+    assert e_g_fast(sys_, ms) == e_g_direct(sys_, ms)
+    assert r_g_fast(sys_, ms) == r_g_direct(sys_, ms)
 
 
 def test_multiplicativity_over_coprime_tuples():
