@@ -14,15 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ScaleError
-from .products import h_value
+from .products import h_value, x_r_value
 
 _SIEVE_CAP = 10**6
 _DIRICHLET_CAP = 10**4
-
-
-def x_r_value(r: int, p: int) -> int:
-    """(p-1)^r + (-1)^r (p-2); equals p * g_r(p)."""
-    return (p - 1) ** r + (-1) ** r * (p - 2)
 
 
 @dataclass(frozen=True)
@@ -201,8 +196,7 @@ def asymptotic_report(r: int, x: int, prime_bound: int) -> AsymptoticReport:
     The partial sum is accumulated exactly and converted to floating
     point only for the ratio.
     """
-    vals = g_r_sieve(r, x)
-    empirical = sum(vals[1:], Fraction(0))
+    empirical = g_r_partial_sum(r, x)
     predicted = alpha_r(r, prime_bound) / r * float(x) ** r
     return AsymptoticReport(r, x, empirical, predicted, float(empirical) / predicted, prime_bound)
 

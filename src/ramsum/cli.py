@@ -125,7 +125,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run named invariant suites")
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(suite_names())}, all")
-    p.add_argument("--max", type=int, help="override the suite's default range")
+    p.add_argument("--max", type=int, help="override the suite's default range (>= 1)")
     add_format(p)
 
     return parser
@@ -152,6 +152,8 @@ def parse_args(argv) -> CommandRequest:
         raise UsageError("c: exactly one modulus expected")
     if cmd == "T" and req.r is not None and req.range_max is None:
         raise UsageError("T: --r only applies together with --range")
+    if cmd == "T" and req.r is not None and req.r < 1:
+        raise UsageError("T: --r must be >= 1")
     if cmd in ("E", "R"):
         if (req.polys is None) == (req.shifts is None):
             raise UsageError(f"{cmd}: exactly one of --polys or --shifts is required")
@@ -163,6 +165,8 @@ def parse_args(argv) -> CommandRequest:
             )
     if cmd == "roots" and len(req.polys) != len(req.moduli):
         raise UsageError(f"roots: poly count {len(req.polys)} != moduli count {len(req.moduli)}")
+    if cmd == "verify" and req.max is not None and req.max < 1:
+        raise UsageError("verify: --max must be >= 1")
     return req
 
 

@@ -324,6 +324,11 @@ def h_value(s: int, x: int) -> int:
     return q
 
 
+def x_r_value(r: int, p: int) -> int:
+    """(p-1)^r + (-1)^r (p-2): R on r copies of a prime p, and p * g_r(p)."""
+    return (p - 1) ** r + (-1) ** r * (p - 2)
+
+
 def r_prime_power(profile: PrimePowerProfile) -> int:
     """R on a prime-power tuple, directly from the exponent profile.
 
@@ -333,7 +338,7 @@ def r_prime_power(profile: PrimePowerProfile) -> int:
     """
     p, r, s = profile.p, len(profile.exponents), profile.s
     if profile.e == 1:
-        return (p - 1) ** r + (-1) ** r * (p - 2)
+        return x_r_value(r, p)
     return p ** (profile.v + profile.e) * (p - 1) ** (r - s + 1) * h_value(s, p)
 
 

@@ -4,16 +4,24 @@ Each suite is a deterministic list of (label, check) pairs; checks return
 True/False.  Labels are generated in canonical sorted-input order, so the
 printed output is byte-stable across runs.  Randomized suites draw from a
 fixed-seed generator.
+
+The suites are the one definition of each invariant the package promises:
+the acceptance criteria in tests/test_acceptance.py run every suite through
+run_suite at no less than its default range and assert its check count.
 """
 
 import math
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import product as cartesian
 
 from .arith import (
-    coprime_count_in_class,
     brauer_rademacher_sides,
+    coprime_count_in_class,
     crt_solve,
+    dedekind_psi,
+    distinct_prime_count,
     divisors,
     euler_phi,
     is_squarefree,
@@ -74,17 +82,11 @@ def _suite_cohen(max_n: int):
         yield f"coprime-shift n={n:03d}", lambda n=n: check(n)
 
 
-def _tuples(max_m: int, r: int):
-    from itertools import product as cartesian
-
-    return cartesian(range(1, max_m + 1), repeat=r)
-
-
 def _suite_oracle(max_m: int):
     for g in POLY_CORPUS:
         for r in (1, 2, 3):
             def check(g=g, r=r):
-                for ms in _tuples(max_m, r):
+                for ms in cartesian(range(1, max_m + 1), repeat=r):
                     sys_ = (g,) * r
                     if e_g_fast(sys_, ms) != e_g_direct(sys_, ms):
                         return False
@@ -95,74 +97,82 @@ def _suite_oracle(max_m: int):
             yield f"poly={g} r={r}", check
 
 
+def _split_two(n: int) -> tuple[int, int]:
+    """(j, m) with n = 2^j m and m odd."""
+    j = (n & -n).bit_length() - 1
+    return j, n >> j
+
+
 def _quadratic_full_rule(n: int) -> int:
-    j, m = 0, n
-    while m % 2 == 0:
-        j += 1
-        m //= 2
-    if j in (0, 2, 3) and is_squarefree(m):
-        return {0: 1, 2: 1, 3: 2}[j]
-    return 0
+    j, m = _split_two(n)
+    return {0: 1, 2: 1, 3: 2}.get(j, 0) if is_squarefree(m) else 0
 
 
 def _quadratic_coprime_rule(n: int) -> int:
-    from .arith import dedekind_psi
-
-    j, m = 0, n
-    while m % 2 == 0:
-        j += 1
-        m //= 2
-    if j in (0, 1, 2, 3) and is_squarefree(m):
+    j, m = _split_two(n)
+    if j <= 3 and is_squarefree(m):
         return {0: 1, 1: 1, 2: 4, 3: 16}[j] * dedekind_psi(m)
     return 0
 
 
+# the definitional oracles also check the quadratic rules up to this modulus
+_QUADRATIC_DIRECT_MAX = 200
+
+
 def _suite_closed_forms(max_n: int):
+    def check_quadratic(fast, direct, rule, lo, hi):
+        for n in range(lo, hi + 1):
+            want = rule(n)
+            if fast("x^2-1", (n,)) != want:
+                return False
+            if n <= _QUADRATIC_DIRECT_MAX and direct("x^2-1", (n,)) != want:
+                return False
+        return True
+
     for lo in range(1, max_n + 1, 50):
         hi = min(lo + 49, max_n)
-
-        def check_full(lo=lo, hi=hi):
-            return all(
-                e_g_fast("x^2-1", (n,)) == _quadratic_full_rule(n) for n in range(lo, hi + 1)
+        for kind, fast, direct, rule in (
+            ("full", e_g_fast, e_g_direct, _quadratic_full_rule),
+            ("coprime", r_g_fast, r_g_direct, _quadratic_coprime_rule),
+        ):
+            yield (
+                f"quadratic-{kind} n={lo:03d}..{hi:03d}",
+                partial(check_quadratic, fast, direct, rule, lo, hi),
             )
-
-        def check_coprime(lo=lo, hi=hi):
-            return all(
-                r_g_fast("x^2-1", (n,)) == _quadratic_coprime_rule(n) for n in range(lo, hi + 1)
-            )
-
-        yield f"quadratic-full n={lo:03d}..{hi:03d}", check_full
-        yield f"quadratic-coprime n={lo:03d}..{hi:03d}", check_coprime
 
     def check_adjacent():
-        from .arith import distinct_prime_count
-
         for m1 in range(1, 41):
             for m2 in range(1, 41):
-                for a in (-2, 0, 3):
-                    want = 0
-                    if m1 == m2 and is_squarefree(m1):
-                        want = (-1) ** distinct_prime_count(m1)
-                    if e_shift((a, a + 1), (m1, m2), strategy="general") != want:
-                        return False
+                want = 0
+                if m1 == m2 and is_squarefree(m1):
+                    want = (-1) ** distinct_prime_count(m1)
+                for a in (-3, -2, 0, 2, 3):
+                    for strategy in ("auto", "general"):
+                        if e_shift((a, a + 1), (m1, m2), strategy=strategy) != want:
+                            return False
+                if max(m1, m2) <= 12 and e_shift((0, 1), (m1, m2)) != e_g_direct(
+                    ("x", "x-1"), (m1, m2)
+                ):
+                    return False
         return True
 
     yield "adjacent-shift rule m<=040", check_adjacent
 
     def check_pairwise_coprime():
+        # every single modulus and shift, every coprime pair, 500 random triples
         rng = random.Random(_SEED)
-        for _ in range(200):
-            r = rng.randint(1, 3)
-            while True:
-                ms = [rng.randint(1, 30) for _ in range(r)]
-                if all(
-                    math.gcd(ms[i], ms[j]) == 1
-                    for i in range(r)
-                    for j in range(i + 1, r)
-                ):
-                    break
-            sh = [rng.randint(-10, 10) for _ in range(r)]
-            want = mobius(math.lcm(*ms))
+        cases = [((m,), (a,)) for m in range(1, 31) for a in range(-10, 11)]
+        for ms in cartesian(range(1, 31), repeat=2):
+            if math.gcd(*ms) == 1:
+                cases.append((ms, (rng.randint(-10, 10), rng.randint(-10, 10))))
+        triples = 0
+        while triples < 500:
+            ms = [rng.randint(1, 30) for _ in range(3)]
+            if math.lcm(*ms) == math.prod(ms):
+                cases.append((ms, [rng.randint(-10, 10) for _ in range(3)]))
+                triples += 1
+        for ms, sh in cases:
+            want = mobius(math.prod(ms))
             for mi, ai in zip(ms, sh):
                 want *= ramanujan_sum(mi, ai)
             if r_shift(sh, ms, strategy="general") != want:
@@ -172,8 +182,6 @@ def _suite_closed_forms(max_n: int):
     yield "pairwise-coprime rule m<=030", check_pairwise_coprime
 
     def check_unit_adjacent():
-        from .arith import dedekind_psi, distinct_prime_count
-
         for m1 in range(1, 41):
             for m2 in range(1, 41):
                 for a1 in (-3, 1, 4):
@@ -192,18 +200,11 @@ def _suite_closed_forms(max_n: int):
     yield "unit-adjacent-shift rule m<=040", check_unit_adjacent
 
 
-def _sorted_exponent_tuples(r: int, emax: int):
-    from itertools import combinations_with_replacement
-
-    for exps in combinations_with_replacement(range(emax, 0, -1), r):
-        yield tuple(sorted(exps, reverse=True))
-
-
 def _suite_prime_power(emax: int):
     for p in (2, 3, 5):
         for r in (1, 2, 3, 4):
             def check(p=p, r=r):
-                for exps in _sorted_exponent_tuples(r, emax):
+                for exps in cartesian(range(1, emax + 1), repeat=r):
                     prof = prime_power_profile(p, exps)
                     val = r_prime_power(prof)
                     if val != r_g_direct(("x-1",) * r, tuple(p**e for e in exps)):
@@ -221,8 +222,6 @@ def _suite_prime_power(emax: int):
 
 
 def _suite_t_a(max_lcm: int):
-    from itertools import product as cartesian
-
     for r in (1, 2, 3):
         for ms in cartesian(range(1, max_lcm + 1), repeat=r):
             if math.lcm(*ms) > max_lcm:
@@ -240,51 +239,39 @@ def _suite_t_a(max_lcm: int):
             yield "tuple=" + ",".join(f"{m:02d}" for m in ms), check
 
 
-def _coprime_tuple_pair(rng, r: int, cap: int):
-    """Moduli tuples (m, n) with gcd(prod m_i, prod n_j) = 1, entries <= cap."""
+def _coprime_tuple_pair(rng, r: int):
+    """Moduli tuples (m, n) with gcd(prod m_i, prod n_j) = 1, entries <= 30."""
     while True:
-        ms = [rng.randint(1, cap) for _ in range(r)]
-        ns = [rng.randint(1, cap) for _ in range(r)]
-        pm = math.prod(ms)
-        pn = math.prod(ns)
-        if math.gcd(pm, pn) == 1:
+        ms = [rng.randint(1, 30) for _ in range(r)]
+        ns = [rng.randint(1, 30) for _ in range(r)]
+        if math.gcd(math.prod(ms), math.prod(ns)) == 1:
             return ms, ns
 
 
 def _suite_multiplicativity(cases: int):
-    def make(salt, fn, r_max=3, cap=30):
+    """Each family factors over coprime tuple pairs; every draw also picks a
+    shift a in [-10, 10], which only the T_a family reads."""
+
+    def make(salt, fn):
         def check():
             rng = random.Random(_SEED + salt)
             for _ in range(cases):
-                r = rng.randint(1, r_max)
-                ms, ns = _coprime_tuple_pair(rng, r, cap)
+                ms, ns = _coprime_tuple_pair(rng, rng.randint(1, 3))
+                a = rng.randint(-10, 10)
                 prod_tuple = [m * n for m, n in zip(ms, ns)]
-                if fn(r, prod_tuple) != fn(r, ms) * fn(r, ns):
+                if fn(prod_tuple, a) != fn(ms, a) * fn(ns, a):
                     return False
             return True
 
         return check
 
-    def eg(r, ms):
-        return e_g_fast(("x^2-1",) * r, ms)
-
-    def rg(r, ms):
-        return r_g_fast(("2x-1",) * r, ms)
-
-    def n_count(r, ms):
-        return count_roots(("x^2-1",) * r, ms).count
-
-    def eta_count(r, ms):
-        return count_roots(("x^2-1",) * r, ms, units_only=True).count
-
-    def t_closed(r, ms):
-        return t_a(ms, 3, strategy="closed")
-
-    yield "full-product-sum", make(1, eg)
-    yield "coprime-product-sum", make(2, rg)
-    yield "root-count", make(3, n_count)
-    yield "unit-root-count", make(4, eta_count)
-    yield "modified-orthogonality", make(5, t_closed)
+    yield "full-product-sum", make(1, lambda ms, a: e_g_fast(("x^2-1",) * len(ms), ms))
+    yield "coprime-product-sum", make(2, lambda ms, a: r_g_fast(("2x-1",) * len(ms), ms))
+    yield "root-count", make(3, lambda ms, a: count_roots(("x^2-1",) * len(ms), ms).count)
+    yield "unit-root-count", make(
+        4, lambda ms, a: count_roots(("x^2-1",) * len(ms), ms, units_only=True).count
+    )
+    yield "modified-orthogonality", make(5, lambda ms, a: t_a(ms, a, strategy="closed"))
 
 
 def _suite_identities(max_n: int):
@@ -364,7 +351,7 @@ def _suite_identities(max_n: int):
             f = ramanujan_even(n)
             for a in (-7, -1, 0, 1, 4):
                 coprime_shift_sum(f, a)  # raises on two-sided mismatch
-        for _ in range(100):
+        for _ in range(200):
             s = rng.randint(1, 40)
             f = s_even(
                 s,
@@ -415,7 +402,12 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, max_n: int | None = None):
-    """Run one named suite (or "all"); returns (label, ok) pairs in order."""
+    """Run one named suite (or "all"); returns (label, ok) pairs in order.
+
+    max_n None runs each suite at its default range.
+    """
+    if max_n is not None and max_n < 1:
+        raise DomainError(f"suite range must be >= 1, got {max_n}")
     if name == "all":
         out = []
         for sub in _SUITES:
@@ -424,4 +416,6 @@ def run_suite(name: str, max_n: int | None = None):
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)} or 'all'")
     builder, default_max = _SUITES[name]
-    return [(label, bool(thunk())) for label, thunk in builder(max_n or default_max)]
+    if max_n is None:
+        max_n = default_max
+    return [(label, bool(thunk())) for label, thunk in builder(max_n)]

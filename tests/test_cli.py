@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from ramsum.cli import CommandRequest, execute, main, parse_args
+from ramsum.errors import DomainError
+from ramsum.verify import run_suite
 
 
 def run_main(capsys, *argv):
@@ -109,10 +111,15 @@ def test_usage_errors_exit_1(capsys):
         ["nonsense"],
         ["E", "--moduli", "6", "--polys", "x", "--a", "3"],
         ["R", "--moduli", "6", "--polys", "x", "--shifts", "1"],
+        ["T", "--range", "3", "--r", "-1", "--a", "0"],
+        ["T", "--range", "3", "--r", "0", "--a", "0"],
+        ["verify", "--suite", "cohen", "--max", "0"],
+        ["verify", "--suite", "cohen", "--max", "-5"],
     ):
         code, _, err = run_main(capsys, *argv)
         assert code == 1, argv
         assert err, argv
+        assert "Traceback" not in err, argv
 
 
 def test_poly_syntax_error_reports_position(capsys):
@@ -155,6 +162,13 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run_main(capsys, "verify", "--suite", "bogus")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_run_suite_rejects_nonpositive_range():
+    for name in ("cohen", "all"):
+        for max_n in (0, -5):
+            with pytest.raises(DomainError, match="must be >= 1"):
+                run_suite(name, max_n)
 
 
 def test_verify_output_is_byte_deterministic():
