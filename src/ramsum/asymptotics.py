@@ -18,6 +18,7 @@ from .products import h_value, x_r_value
 
 _SIEVE_CAP = 10**6
 _DIRICHLET_CAP = 10**4
+_PRIME_BOUND_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,15 @@ def alpha_r(r: int, prime_bound: int) -> float:
     """Partial Euler product over primes p <= prime_bound.
 
     The infinite product converges absolutely; the truncation error is
-    bounded by the tail sum of 2/p^2, below 2/(prime_bound - 1).
+    bounded by the tail sum of 2/p^2, below 2/(prime_bound - 1).  The
+    prime sieve takes prime_bound bytes, so prime_bound is capped at 10^7.
     """
     if r < 2:
         raise DomainError(f"r must be >= 2, got {r}")
     if prime_bound < 1:
         raise DomainError(f"prime bound must be >= 1, got {prime_bound}")
+    if prime_bound > _PRIME_BOUND_CAP:
+        raise ScaleError(f"prime bound capped at <= 10^7, got {prime_bound}")
     out = 1.0
     for p in _primes_upto(prime_bound):
         out *= euler_factor(r, p)

@@ -16,10 +16,11 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as cartesian
 
 from .asymptotics import alpha_r, asymptotic_report
-from .congruences import count_roots, linear_shift_poly, parse_polynomial
+from .congruences import as_poly_system, count_roots, linear_shift_poly, parse_polynomial
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
 from .even import t_a
 from .products import e_g_direct, e_g_fast, e_shift, r_g_direct, r_g_fast, r_shift
@@ -39,7 +40,7 @@ class UsageError(Exception):
 
 @dataclass
 class CommandRequest:
-    subcommand: str
+    subcommand: str = ""
     moduli: tuple[int, ...] | None = None
     polys: tuple[str, ...] | None = None
     shifts: tuple[int, ...] | None = None
@@ -67,11 +68,11 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _poly_list(text: str) -> tuple[str, ...]:
-    parts = tuple(p for p in text.split(";"))
+    parts = tuple(text.split(";"))
     for p in parts:
         try:
             parse_polynomial(p)
-        except PolynomialSyntaxError as exc:
+        except (PolynomialSyntaxError, ScaleError) as exc:
             raise argparse.ArgumentTypeError(f"bad polynomial {p!r}: {exc}")
     return parts
 
@@ -133,13 +134,7 @@ def _build_parser() -> _Parser:
 
 def parse_args(argv) -> CommandRequest:
     """Parse and validate argv into a CommandRequest; raises UsageError."""
-    ns = _build_parser().parse_args(argv)
-    req = CommandRequest(subcommand=ns.subcommand, format=getattr(ns, "format", "plain"))
-    for fld in ("moduli", "polys", "shifts", "a", "r", "x", "prime_bound", "strategy",
-                "range_max", "suite", "max"):
-        if hasattr(ns, fld):
-            setattr(req, fld, getattr(ns, fld))
-
+    req = _build_parser().parse_args(argv, namespace=CommandRequest())
     cmd = req.subcommand
     if cmd in ("c", "E", "R", "T"):
         if req.range_max is not None and req.moduli is not None:
@@ -154,7 +149,7 @@ def parse_args(argv) -> CommandRequest:
         raise UsageError("T: --r only applies together with --range")
     if cmd == "T" and req.r is not None and req.r < 1:
         raise UsageError("T: --r must be >= 1")
-    if cmd in ("E", "R"):
+    if cmd in ("E", "R", "roots"):
         if (req.polys is None) == (req.shifts is None):
             raise UsageError(f"{cmd}: exactly one of --polys or --shifts is required")
         arity = len(req.polys or req.shifts)
@@ -163,8 +158,6 @@ def parse_args(argv) -> CommandRequest:
             raise UsageError(
                 f"{cmd}: {kind} count {arity} != moduli count {len(req.moduli)}"
             )
-    if cmd == "roots" and len(req.polys) != len(req.moduli):
-        raise UsageError(f"roots: poly count {len(req.polys)} != moduli count {len(req.moduli)}")
     if cmd == "verify" and req.max is not None and req.max < 1:
         raise UsageError("verify: --max must be >= 1")
     return req
@@ -184,41 +177,38 @@ def _tuple_space(req: CommandRequest):
     return cartesian(range(1, req.range_max + 1), repeat=arity)
 
 
-def _value_for(req: CommandRequest, moduli: tuple[int, ...]):
-    cmd = req.subcommand
-    if cmd == "c":
-        return ramanujan_sum(moduli[0], req.a)
-    if cmd == "E":
-        if req.polys:
-            fn = e_g_direct if req.strategy == "direct" else e_g_fast
-            return fn(req.polys, moduli)
-        if req.strategy == "direct":
-            return e_g_direct(tuple(map(linear_shift_poly, req.shifts)), moduli)
-        return e_shift(req.shifts, moduli)
-    if cmd == "R":
-        if req.polys:
-            fn = r_g_direct if req.strategy == "direct" else r_g_fast
-            return fn(req.polys, moduli)
-        if req.strategy == "direct":
-            return r_g_direct(tuple(map(linear_shift_poly, req.shifts)), moduli)
-        return r_shift(req.shifts, moduli)
-    if cmd == "T":
-        return t_a(moduli, req.a, strategy=req.strategy)
-    raise DomainError(f"no tuple evaluation for {cmd}")
+def _evaluator(req: CommandRequest):
+    """The request's value as a function of the moduli tuple.
 
-
-def _input_columns(req: CommandRequest, moduli) -> list[tuple[str, object]]:
-    cols: list[tuple[str, object]] = []
+    The polynomial system (for ``--strategy direct`` with shifts, the
+    system of x - a_i) is built once here, not once per tuple.
+    """
     if req.subcommand == "c":
-        cols.append(("n", moduli[0]))
+        return lambda moduli: ramanujan_sum(moduli[0], req.a)
+    if req.subcommand == "T":
+        return lambda moduli: t_a(moduli, req.a, strategy=req.strategy)
+    # built per call: the names resolve at call time, so patched module globals are used
+    fast, direct, shift = {
+        "E": (e_g_fast, e_g_direct, e_shift),
+        "R": (r_g_fast, r_g_direct, r_shift),
+    }[req.subcommand]
+    if req.shifts is not None and req.strategy != "direct":
+        return partial(shift, req.shifts)
+    system = as_poly_system(req.polys or tuple(map(linear_shift_poly, req.shifts)))
+    return partial(direct if req.strategy == "direct" else fast, system)
+
+
+def _inputs(req: CommandRequest, moduli) -> dict:
+    if req.subcommand == "c":
+        cols = {"n": moduli[0]}
     else:
-        cols += [(f"m_{i + 1}", m) for i, m in enumerate(moduli)]
+        cols = {f"m_{i + 1}": m for i, m in enumerate(moduli)}
     if req.polys is not None:
-        cols.append(("polys", ";".join(req.polys)))
+        cols["polys"] = ";".join(req.polys)
     if req.shifts is not None:
-        cols.append(("shifts", ",".join(str(a) for a in req.shifts)))
+        cols["shifts"] = ",".join(str(a) for a in req.shifts)
     if req.a is not None:
-        cols.append(("a", req.a))
+        cols["a"] = req.a
     return cols
 
 
@@ -230,69 +220,51 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _emit_rows(req: CommandRequest, rows) -> str:
-    """rows: list of (columns, value) with columns from _input_columns."""
+def _emit_rows(req: CommandRequest, header: list, rows: list) -> str:
+    """One table row per moduli tuple; each row lists its values in header order."""
     if req.format == "json":
-        payload = {
-            "subcommand": req.subcommand,
-            "rows": [dict(cols, value=value) for cols, value in rows],
-        }
+        payload = {"subcommand": req.subcommand, "rows": [dict(zip(header, row)) for row in rows]}
         return json.dumps(payload, sort_keys=True)
     if req.format == "csv":
-        header = [name for name, _ in rows[0][0]] + ["value"]
-        return _csv_text(header, [[v for _, v in cols] + [value] for cols, value in rows])
-    return "\n".join(
-        " ".join(f"{name}={v}" for name, v in cols) + f" value={value}" for cols, value in rows
-    )
+        return _csv_text(header, rows)
+    return "\n".join(" ".join(f"{k}={v}" for k, v in zip(header, row)) for row in rows)
 
 
-def _emit_scalar(req: CommandRequest, inputs: dict, value) -> str:
+def _emit_scalar(req: CommandRequest, inputs: dict, outputs: dict, plain: str) -> str:
+    """One record: inputs then outputs; ``plain`` is the plain-format text."""
     if req.format == "json":
-        return json.dumps(
-            {"subcommand": req.subcommand, "inputs": inputs, "value": value}, sort_keys=True
-        )
+        payload = {"subcommand": req.subcommand, "inputs": inputs, **outputs}
+        return json.dumps(payload, sort_keys=True)
     if req.format == "csv":
-        return _csv_text(list(inputs) + ["value"], [list(inputs.values()) + [value]])
-    return str(value)
+        return _csv_text([*inputs, *outputs], [[*inputs.values(), *outputs.values()]])
+    return plain
 
 
 def execute(req: CommandRequest) -> tuple[int, str]:
     """Run a validated request; returns (exit status, formatted output)."""
     cmd = req.subcommand
     if cmd in ("c", "E", "R", "T"):
-        if req.range_max is not None:
-            rows = []
-            for ms in _tuple_space(req):
-                rows.append((dict(_input_columns(req, ms)), _value_for(req, ms)))
-            return EXIT_OK, _emit_rows(req, [(list(c.items()), v) for c, v in rows])
-        value = _value_for(req, req.moduli)
-        return EXIT_OK, _emit_scalar(req, dict(_input_columns(req, req.moduli)), value)
+        evaluate = _evaluator(req)
+        if req.range_max is None:
+            value = evaluate(req.moduli)
+            return EXIT_OK, _emit_scalar(req, _inputs(req, req.moduli), {"value": value}, str(value))
+        tuples = list(_tuple_space(req))
+        header = [*_inputs(req, tuples[0]), "value"]
+        rows = [[*_inputs(req, ms).values(), evaluate(ms)] for ms in tuples]
+        return EXIT_OK, _emit_rows(req, header, rows)
 
     if cmd == "roots":
-        full = count_roots(req.polys, req.moduli, units_only=False, strategy=req.strategy)
-        units = count_roots(req.polys, req.moduli, units_only=True, strategy=req.strategy)
-        inputs = dict(_input_columns(req, req.moduli))
-        if req.format == "json":
-            return EXIT_OK, json.dumps(
-                {
-                    "subcommand": "roots",
-                    "inputs": inputs,
-                    "modulus": full.modulus,
-                    "N": full.count,
-                    "eta": units.count,
-                },
-                sort_keys=True,
-            )
-        if req.format == "csv":
-            return EXIT_OK, _csv_text(
-                list(inputs) + ["modulus", "N", "eta"],
-                [list(inputs.values()) + [full.modulus, full.count, units.count]],
-            )
-        return EXIT_OK, f"N={full.count} eta={units.count} (mod {full.modulus})"
+        system = as_poly_system(req.polys)
+        full = count_roots(system, req.moduli, units_only=False, strategy=req.strategy)
+        units = count_roots(system, req.moduli, units_only=True, strategy=req.strategy)
+        outputs = {"modulus": full.modulus, "N": full.count, "eta": units.count}
+        plain = f"N={full.count} eta={units.count} (mod {full.modulus})"
+        return EXIT_OK, _emit_scalar(req, _inputs(req, req.moduli), outputs, plain)
 
     if cmd == "alpha":
         value = alpha_r(req.r, req.prime_bound)
-        return EXIT_OK, _emit_scalar(req, {"r": req.r, "prime_bound": req.prime_bound}, value)
+        inputs = {"r": req.r, "prime_bound": req.prime_bound}
+        return EXIT_OK, _emit_scalar(req, inputs, {"value": value}, str(value))
 
     if cmd == "asymptotic":
         rep = asymptotic_report(req.r, req.x, req.prime_bound)

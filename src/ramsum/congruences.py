@@ -15,6 +15,7 @@ from .arith import ModuliTuple, as_moduli_tuple
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
 
 _DIRECT_SCAN_CAP = 10**6
+_DEGREE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,9 @@ def parse_polynomial(text: str) -> IntPolynomial:
     coefficient followed by an optional 'x' with an optional '^' power;
     implicit multiplication as in "2x"; whitespace is insignificant;
     'x' is the only variable.  Raises :class:`PolynomialSyntaxError`
-    with the offending position on malformed input.
+    with the offending position on malformed input, and
+    :class:`ScaleError` for a degree above 10^6 (the coefficients are
+    stored densely).
     """
     s = text
     n = len(s)
@@ -141,6 +144,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
         coeffs[exp] = coeffs.get(exp, 0) + sign * (1 if num is None else num)
         i = skip_ws(i)
     deg = max((e for e, c in coeffs.items() if c), default=-1)
+    if deg > _DEGREE_CAP:
+        raise ScaleError(f"polynomial degree capped at <= 10^6, got {deg}")
     return IntPolynomial(tuple(coeffs.get(e, 0) for e in range(deg + 1)))
 
 

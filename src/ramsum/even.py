@@ -16,6 +16,7 @@ from .errors import ConsistencyError, DomainError, ScaleError
 from .ramanujan import ramanujan_row, ramanujan_sum
 
 _T_DIRECT_CAP = 10**7
+_SHIFT_SUM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,12 @@ def coprime_shift_sum(f: SEvenFunction, a: int) -> Fraction:
 
     Computed both directly and through the coefficient identity
     phi(s) * sum_{d|s} alpha(d) mu(d) c_d(a) / phi(d); the two sides must
-    agree exactly.
+    agree exactly.  The direct side scans all s residues, so s is capped
+    at 10^6.
     """
     s = f.s
+    if s > _SHIFT_SUM_CAP:
+        raise ScaleError(f"coprime shift sum capped at s <= 10^6, got {s}")
     direct = Fraction(0)
     for k in range(1, s + 1):
         if math.gcd(k, s) == 1:

@@ -374,13 +374,21 @@ def _suite_dirichlet(max_m: int):
         )
 
 
+# The 2% band holds at every x >= 114 for r = 2 (up to 5000) and at every
+# x >= 320 for r = 3 (up to 2000), but not just below: the ratio is 1.021
+# at x = 113 (r = 2) and 1.023 at x = 319 (r = 3).  Small ranges are
+# raised to these floors.
+_AVERAGE_ORDER_FLOOR = {2: 114, 3: 320}
+
+
 def _suite_average_order(max_x: int):
     def check(r, x):
         report = asymptotic_report(r, x, 10**5)
         return 0.98 <= report.ratio <= 1.02
 
-    yield f"ratio r=2 x={max_x}", lambda: check(2, max_x)
-    yield f"ratio r=3 x={max(2, 2 * max_x // 5)}", lambda: check(3, max(2, 2 * max_x // 5))
+    for r, x in ((2, max_x), (3, 2 * max_x // 5)):
+        x = max(x, _AVERAGE_ORDER_FLOOR[r])
+        yield f"ratio r={r} x={x}", lambda r=r, x=x: check(r, x)
 
 
 _SUITES = {

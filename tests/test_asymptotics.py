@@ -42,6 +42,14 @@ def test_domain_errors():
         dirichlet_decomposition_check(2, 10**4 + 1)
 
 
+def test_prime_bound_cap():
+    # just above the cap: raised before the sieve allocates prime_bound bytes
+    with pytest.raises(ScaleError, match="10\\^7"):
+        alpha_r(2, 10**7 + 1)
+    with pytest.raises(ScaleError):
+        asymptotic_report(2, 10, 10**7 + 1)
+
+
 def test_truncation_settles():
     # documented tail estimate: |alpha(P) - alpha(P')| < 2/(P-1) for P' > P
     a4 = alpha_r(2, 10**4)

@@ -100,6 +100,55 @@ def test_range_table(capsys):
     assert len(rows) == 1 + 9
 
 
+def _json_row(m_1, m_2, value):
+    return f'{{"m_1": {m_1}, "m_2": {m_2}, "polys": "x;x^2-1", "value": {value}}}'
+
+
+R_RANGE_VALUES = (1, 1, 4, -1, -1, -4, -2, -2, -4)
+E_SHIFT_RANGE_VALUES = (1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0)
+
+EXACT_STDOUT = [
+    (
+        ["roots", "--moduli", "12,18", "--polys", "x^2-1;x-1", "--format", "csv"],
+        "m_1,m_2,polys,modulus,N,eta\n12,18,x^2-1;x-1,36,2,2",
+    ),
+    (
+        ["alpha", "--r", "2", "--prime-bound", "10", "--format", "json"],
+        '{"inputs": {"prime_bound": 10, "r": 2}, "subcommand": "alpha", "value": 0.5535894611812979}',
+    ),
+    (
+        ["alpha", "--r", "3", "--prime-bound", "10", "--format", "csv"],
+        "r,prime_bound,value\n3,10,0.3373704470873762",
+    ),
+    (
+        ["R", "--polys", "x;x^2-1", "--range", "3", "--format", "json"],
+        '{"rows": ['
+        + ", ".join(
+            _json_row(i // 3 + 1, i % 3 + 1, value) for i, value in enumerate(R_RANGE_VALUES)
+        )
+        + '], "subcommand": "R"}',
+    ),
+    (
+        ["E", "--shifts", "1,-2", "--range", "4"],
+        "\n".join(
+            f"m_1={i // 4 + 1} m_2={i % 4 + 1} shifts=1,-2 value={value}"
+            for i, value in enumerate(E_SHIFT_RANGE_VALUES)
+        ),
+    ),
+    (
+        ["T", "--moduli", "6,6", "--a", "2", "--format", "json"],
+        '{"inputs": {"a": 2, "m_1": 6, "m_2": 6}, "subcommand": "T", "value": -6}',
+    ),
+]
+
+
+def test_exact_stdout(capsys):
+    for argv, expected in EXACT_STDOUT:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, expected + "\n", ""), argv
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in (
         ["E", "--moduli", "6,6", "--polys", "x"],
@@ -115,6 +164,7 @@ def test_usage_errors_exit_1(capsys):
         ["T", "--range", "3", "--r", "0", "--a", "0"],
         ["verify", "--suite", "cohen", "--max", "0"],
         ["verify", "--suite", "cohen", "--max", "-5"],
+        ["E", "--moduli", "6", "--polys", "x^1000001"],
     ):
         code, _, err = run_main(capsys, *argv)
         assert code == 1, argv
@@ -142,6 +192,19 @@ def test_scale_error_exit_3(capsys):
     assert "scale error" in err
 
 
+def test_caps_exit_3(capsys):
+    # each input is just above its cap: a prime sieve of 10^7 bytes, a scan of s residues
+    for argv in (
+        ["alpha", "--r", "2", "--prime-bound", "10000001"],
+        ["asymptotic", "--r", "2", "--x", "10", "--prime-bound", "10000001"],
+        ["T", "--moduli", "1000003,1000003", "--a", "0", "--strategy", "spectral"],
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("ramsum: scale error: ") and err.count("\n") == 1, argv
+        assert "Traceback" not in err, argv
+
+
 def test_json_error_object(capsys):
     code = main(["c", "--moduli", "0", "--a", "1", "--format", "json"])
     out = capsys.readouterr().out
@@ -162,6 +225,15 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run_main(capsys, "verify", "--suite", "bogus")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_average_order_suite_passes_at_small_max(capsys):
+    # the 2% band only holds from x = 114 (r = 2) and x = 320 (r = 3) on
+    for max_x in (1, 200, 799):
+        results = run_suite("average-order", max_x)
+        assert results and all(ok for _, ok in results), (max_x, results)
+    assert run_suite("average-order", 1) == [("ratio r=2 x=114", True), ("ratio r=3 x=320", True)]
+    assert run_main(capsys, "verify", "--suite", "all", "--max", "1")[0] == 0
 
 
 def test_run_suite_rejects_nonpositive_range():

@@ -159,6 +159,13 @@ def test_count_roots_multiplicative_in_moduli():
             )
 
 
+def test_parse_degree_cap():
+    with pytest.raises(ScaleError, match="degree"):
+        parse_polynomial("x^1000001")
+    # the cap applies to the degree left after cancellation
+    assert parse_polynomial("x^1000001 - x^1000001 + x") == IntPolynomial((0, 1))
+
+
 def test_count_roots_direct_scale_guard():
     with pytest.raises(ScaleError):
         count_roots("x", (10**6 + 3,), strategy="direct")

@@ -191,6 +191,14 @@ def test_t_a_direct_scale_guard():
         t_a((4000, 4000), 0, strategy="direct")
 
 
+def test_coprime_shift_sum_scale_guard():
+    # s = 1000003 is just above the cap; the residue scan never starts
+    with pytest.raises(ScaleError, match="10\\^6"):
+        coprime_shift_sum(ramanujan_even(1000003), 0)
+    with pytest.raises(ScaleError):
+        t_a((1000003, 1000003), 0, strategy="spectral")
+
+
 def test_two_variable_orthogonality():
     # (1/m) sum_{k, l mod m, gcd(l, m) = 1} c_{m1}(k) c_{m2}(k + l - a)
     # equals mu(m) c_m(a) when m1 = m2 = m and 0 otherwise
