@@ -67,6 +67,15 @@ def euler_factor(r: int, p: int) -> float:
     return num / p ** (r + 2)
 
 
+def _check_alpha_args(r: int, prime_bound: int) -> None:
+    if r < 2:
+        raise DomainError(f"r must be >= 2, got {r}")
+    if prime_bound < 1:
+        raise DomainError(f"prime bound must be >= 1, got {prime_bound}")
+    if prime_bound > _PRIME_BOUND_CAP:
+        raise ScaleError(f"prime bound capped at <= 10^7, got {prime_bound}")
+
+
 def alpha_r(r: int, prime_bound: int) -> float:
     """Partial Euler product over primes p <= prime_bound.
 
@@ -74,12 +83,7 @@ def alpha_r(r: int, prime_bound: int) -> float:
     bounded by the tail sum of 2/p^2, below 2/(prime_bound - 1).  The
     prime sieve takes prime_bound bytes, so prime_bound is capped at 10^7.
     """
-    if r < 2:
-        raise DomainError(f"r must be >= 2, got {r}")
-    if prime_bound < 1:
-        raise DomainError(f"prime bound must be >= 1, got {prime_bound}")
-    if prime_bound > _PRIME_BOUND_CAP:
-        raise ScaleError(f"prime bound capped at <= 10^7, got {prime_bound}")
+    _check_alpha_args(r, prime_bound)
     out = 1.0
     for p in _primes_upto(prime_bound):
         out *= euler_factor(r, p)
@@ -128,6 +132,15 @@ def _multiplicative_table(x: int, local) -> list[Fraction]:
     return vals
 
 
+def _check_sieve_args(r: int, x: int) -> None:
+    if r < 2:
+        raise DomainError(f"r must be >= 2, got {r}")
+    if x < 1:
+        raise DomainError(f"x must be >= 1, got {x}")
+    if x > _SIEVE_CAP:
+        raise ScaleError(f"sieve capped at x <= 10^6, got {x}")
+
+
 def g_r_sieve(r: int, x: int) -> list[Fraction]:
     """g_r(m) for every m <= x, as a list indexed by m (index 0 unused).
 
@@ -135,12 +148,7 @@ def g_r_sieve(r: int, x: int) -> list[Fraction]:
     g_r(p^e) = p^((e-1)(r-1)) (p-1) h_r(p) for e >= 2, using a smallest
     prime factor sieve.
     """
-    if r < 2:
-        raise DomainError(f"r must be >= 2, got {r}")
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    if x > _SIEVE_CAP:
-        raise ScaleError(f"sieve capped at x <= 10^6, got {x}")
+    _check_sieve_args(r, x)
 
     def local(p, e):
         if e == 1:
@@ -198,8 +206,11 @@ def asymptotic_report(r: int, x: int, prime_bound: int) -> AsymptoticReport:
     """Compare sum_{m<=x} g_r(m) with (alpha_r / r) * x^r.
 
     The partial sum is accumulated exactly and converted to floating
-    point only for the ratio.
+    point only for the ratio.  Every argument is checked before the
+    sieve runs.
     """
+    _check_sieve_args(r, x)
+    _check_alpha_args(r, prime_bound)
     empirical = g_r_partial_sum(r, x)
     predicted = alpha_r(r, prime_bound) / r * float(x) ** r
     return AsymptoticReport(r, x, empirical, predicted, float(empirical) / predicted, prime_bound)

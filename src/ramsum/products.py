@@ -10,9 +10,10 @@ For a system G = (g_1, ..., g_r) of integer polynomials and moduli
 
 The fast paths rewrite the sums as one divisor-tuple convolution weighted
 by root counts of the congruence system and evaluate it prime by prime:
-at most 2^r divisor terms per prime of m.  Each generic root count scans
-all p^max(e) residues, so their cost still grows with the largest prime
-power dividing m, not only with its exponent profile.  ``e_shift``/
+at most 2^r divisor terms per prime of m.  Each generic root count
+finds the common roots mod p and lifts them along a Hensel tree, so its
+cost grows with the number of roots and the exponent, not with p^e.
+``e_shift``/
 ``r_shift`` specialize to linear systems x - a_i where the root counts
 are a CRT solvability test, and ``r_prime_power`` evaluates the
 all-ones-shift function R on prime-power tuples directly.
@@ -175,8 +176,9 @@ def e_g_fast(system, moduli) -> int:
     """Averaged product sum via the divisor convolution with root counts.
 
     Equals ``e_g_direct`` everywhere.  The convolution runs prime by
-    prime, but each root count scans all p^max(e) residues, so the cost
-    grows with the largest prime power dividing m.
+    prime; each root count lifts the roots mod p of the local system, so
+    the cost grows with the exponents of m and the number of roots, not
+    with the prime powers themselves.
     """
     return _poly_convolve(system, moduli, False)
 

@@ -15,6 +15,7 @@ from ramsum import (
     g_r_value,
     x_r_value,
 )
+from ramsum import asymptotics
 from ramsum.asymptotics import _primes_upto
 
 
@@ -48,6 +49,14 @@ def test_prime_bound_cap():
         alpha_r(2, 10**7 + 1)
     with pytest.raises(ScaleError):
         asymptotic_report(2, 10, 10**7 + 1)
+
+
+def test_report_checks_prime_bound_before_sieve(monkeypatch):
+    sieved = []
+    monkeypatch.setattr(asymptotics, "g_r_sieve", lambda r, x: sieved.append((r, x)))
+    with pytest.raises(ScaleError, match="prime bound"):
+        asymptotic_report(2, 50_000, 10**7 + 1)
+    assert sieved == []
 
 
 def test_truncation_settles():

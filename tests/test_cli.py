@@ -165,6 +165,7 @@ def test_usage_errors_exit_1(capsys):
         ["verify", "--suite", "cohen", "--max", "0"],
         ["verify", "--suite", "cohen", "--max", "-5"],
         ["E", "--moduli", "6", "--polys", "x^1000001"],
+        ["E", "--moduli", "6", "--polys", "x^" + "1" * 5000],
     ):
         code, _, err = run_main(capsys, *argv)
         assert code == 1, argv
@@ -176,6 +177,15 @@ def test_poly_syntax_error_reports_position(capsys):
     code, _, err = run_main(capsys, "E", "--moduli", "6", "--polys", "x^")
     assert code == 1
     assert "position 2" in err
+
+
+def test_integer_past_digit_limit_is_bad_polynomial(capsys):
+    # int() refuses decimal strings of more than 4300 digits
+    for text in ("x^" + "1" * 5000, "1" * 5000 + "x"):
+        code, _, err = run_main(capsys, "E", "--moduli", "6", "--polys", text)
+        assert code == 1
+        assert "bad polynomial" in err and "4300 digits" in err
+        assert "_poly_list" not in err
 
 
 def test_domain_error_exit_2(capsys):

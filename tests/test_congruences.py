@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsum import (
     DomainError,
@@ -164,6 +166,84 @@ def test_parse_degree_cap():
         parse_polynomial("x^1000001")
     # the cap applies to the degree left after cancellation
     assert parse_polynomial("x^1000001 - x^1000001 + x") == IntPolynomial((0, 1))
+
+
+def test_parse_digit_cap():
+    for text in ("x^" + "1" * 4301, "1" * 4301 + "x^2", "x-" + "9" * 5000):
+        with pytest.raises(ScaleError, match="4300 digits"):
+            parse_polynomial(text)
+    assert parse_polynomial("1" * 4300).coeffs == (int("1" * 4300),)
+
+
+# Primes with the largest exponent e such that p^e <= 10^5; at 101 and 317
+# low-degree systems find their roots mod p through x^p - x, the rest by scan.
+_PRIME_TOPS = ((2, 16), (3, 10), (5, 7), (7, 5), (11, 4), (101, 2), (317, 1))
+# Singular roots, p-divisible content, constants and the zero polynomial.
+_SPECIAL = ("x^2", "x^3-x", "4x^2+4x", "9x^2-9", "x^2-1", "x^2+x+1", "2x-1", "6", "0")
+
+
+@st.composite
+def _prime_power_systems(draw):
+    p, top = draw(st.sampled_from(_PRIME_TOPS))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            polys.append(parse_polynomial(draw(st.sampled_from(_SPECIAL))))
+            continue
+        content = p ** draw(st.integers(0, 2))
+        coeffs = [c * content for c in draw(st.lists(st.integers(-9, 9), max_size=4))]
+        for _ in range(draw(st.integers(0, 2))):  # times (x - a): repeated roots
+            a = draw(st.integers(-3, 3))
+            coeffs = [u - a * v for u, v in zip([0] + coeffs, coeffs + [0])]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        polys.append(IntPolynomial(tuple(coeffs)))
+    exps = draw(st.lists(st.integers(0, top), min_size=len(polys), max_size=len(polys)))
+    return polys, tuple(p**e for e in exps)
+
+
+@given(_prime_power_systems())
+@settings(max_examples=150, deadline=None)
+def test_multiplicative_equals_direct_on_prime_powers(case):
+    polys, moduli = case
+    for units in (False, True):
+        direct = count_roots(polys, moduli, units_only=units, strategy="direct")
+        assert count_roots(polys, moduli, units_only=units, strategy="multiplicative") == direct
+
+
+@pytest.mark.parametrize(
+    "polys,moduli",
+    [
+        (("x^2-1",), (1000003**2,)),
+        (("x^2+x+1",), (1000003**2,)),
+        (("x^2-1",), (10007**3,)),
+        (("x^2+x+1",), (10007**3,)),
+        (("x^2",), (10007**3,)),
+        (("x^3-x",), (3**20,)),
+        (("9x^2-9",), (3**20,)),
+        (("x^2-1",), (2**40,)),
+        (("x^2-1", "x-1"), (1000003**2, 1000003)),
+        (("x^2-1", "x^2+x-2"), (1000003, 1000003)),
+        (("x^2+x-2", "x^3-x"), (10007**2, 10007**3)),
+    ],
+)
+def test_count_roots_matches_sympy_past_scan_cap(polys, moduli):
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.residue_ntheory import polynomial_congruence
+
+    x = sympy.Symbol("x")
+    gs = [parse_polynomial(g) for g in polys]
+    m = math.lcm(*moduli)
+    # sympy solves the first congruence mod m; the others filter its roots
+    first = sum(c * x**k for k, c in enumerate(gs[0].coeffs))
+    roots = [
+        r
+        for r in polynomial_congruence(first, m)
+        if all(poly_eval_mod(g, r, mi) == 0 for g, mi in zip(gs, moduli))
+    ]
+    assert count_roots(polys, moduli).count == len(roots)
+    units = [r for r in roots if math.gcd(r, m) == 1]
+    assert count_roots(polys, moduli, units_only=True).count == len(units)
 
 
 def test_count_roots_direct_scale_guard():
