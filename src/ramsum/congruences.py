@@ -268,6 +268,42 @@ def _fp_split(f: list, p: int) -> list:
         a += 1
 
 
+def _fp_sqrt(a: int, p: int) -> int:
+    """A square root of the nonzero square a mod the odd prime p (Tonelli-Shanks)."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, root = t * c % p, root * b % p
+    return root
+
+
+def _fp_quadratic_roots(g: list, p: int) -> list:
+    """The distinct roots of a monic quadratic g over F_p, p odd."""
+    c, b = g[0], g[1]
+    disc = (b * b - 4 * c) % p
+    half = (p + 1) // 2  # 1/2 mod p
+    if not disc:
+        return [-b * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s = _fp_sqrt(disc, p)
+    return [(-b + s) * half % p, (-b - s) * half % p]
+
+
 # A residue scan finds the roots mod p faster than x^p mod f when p is
 # below about this multiple of deg(f) * log2(p).
 _SCAN_PER_DEGREE_BIT = 4
@@ -293,6 +329,8 @@ def _common_roots(conds, p: int) -> list:
                 return []
         if len(g) == 2:
             return [-g[0] % p]
+        if len(g) == 3 and p > 2:
+            return _fp_quadratic_roots(g, p)
         # gcd(g, x^p - x) is the product of the distinct x - r dividing g
         xp = _fp_powmod([0, 1], p, g, p)
         xp += [0] * (2 - len(xp))
@@ -330,6 +368,25 @@ def _lift(h, r: int, p: int, m: int) -> list:
     return out
 
 
+def _eval_deriv(h, x: int, m: int) -> tuple[int, int]:
+    """(h(x), h'(x)) mod m."""
+    v = d = 0
+    for c in reversed(h):
+        d = (d * x + v) % m
+        v = (v * x + c) % m
+    return v, d
+
+
+def _newton(h, r: int, p: int, m: int) -> int:
+    """The t mod m = p^n with t = r (mod p) and h(t) = 0 (mod m), r a simple root of h mod p."""
+    t, q = r, p
+    while q < m:
+        q = min(q * q, m)
+        v, d = _eval_deriv(h, t, q)
+        t = (t - v * pow(d, -1, q)) % q
+    return t
+
+
 # Bounded: one pass of the benchmark's tabulate workload asks for about
 # 3500 distinct keys.
 @lru_cache(maxsize=8192)
@@ -343,12 +400,15 @@ def _local_root_count(polys_key, p: int, evec: tuple[int, ...], units_only: bool
     content reaches p^n holds on the whole class and is dropped.  A node
     without conditions holds p^(max(evec) - k) solutions; otherwise its
     children are the common roots t mod p of the h, at most deg(h mod p)
-    of them.  Below a simple root t0, h(t0 + p t) has content p and is
-    linear mod p once it is stripped: one child per level.  Below a
-    multiple root every coefficient of h(t0 + p t) but the constant one
-    is divisible by p^2, so the child either has no roots or strips a
-    content of at least p^2.  The cost grows with the number of roots and
-    with max(evec), not with p^max(evec).
+    of them.  A root t0 that is simple for every h is not descended: by
+    Hensel's lemma each h = 0 (mod p^n) then holds on exactly one class
+    mod p^n above t0, so the node counts p^(k - n) for the largest n when
+    that class (found by Newton's iteration) satisfies the other
+    conditions, else nothing.  Below a multiple root every coefficient of
+    h(t0 + p t) but the constant one is divisible by p^2, so the child
+    either has no roots or strips a content of at least p^2.  The cost
+    grows with the number of roots and with max(evec), not with
+    p^max(evec).
     """
     top = max(evec)
     conds = [c for g, e in zip(polys_key, evec) if e and (c := _strip(g, p**e))]
@@ -366,6 +426,16 @@ def _local_root_count(polys_key, p: int, evec: tuple[int, ...], units_only: bool
             total += len(roots) * p ** (k - 1)
             continue
         for r in roots:
+            if all(_eval_deriv(h, r, p)[1] for h, _ in conds):
+                # Simple for every condition: each fixes one class mod its
+                # modulus, so the finest one holds them all or none.
+                h0, m0 = max(conds, key=lambda c: c[1])
+                if len(conds) > 1:
+                    t = _newton(h0, r, p, m0)
+                    if any(_fp_eval(h, t, m) for h, m in conds):
+                        continue
+                total += p**k // m0
+                continue
             lifted = [c for h, m in conds if (c := _strip(_lift(h, r, p, m), m))]
             stack.append((lifted, k - 1, False))
     return total

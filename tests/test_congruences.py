@@ -225,6 +225,9 @@ def test_multiplicative_equals_direct_on_prime_powers(case):
         (("x^2-1", "x-1"), (1000003**2, 1000003)),
         (("x^2-1", "x^2+x-2"), (1000003, 1000003)),
         (("x^2+x-2", "x^3-x"), (10007**2, 10007**3)),
+        (("x^2+1",), (65537**2,)),
+        (("x^2-2",), (7681**3,)),
+        (("x^2-1", "x^2+1"), (7681**2, 7681)),
     ],
 )
 def test_count_roots_matches_sympy_past_scan_cap(polys, moduli):
@@ -244,6 +247,22 @@ def test_count_roots_matches_sympy_past_scan_cap(polys, moduli):
     assert count_roots(polys, moduli).count == len(roots)
     units = [r for r in roots if math.gcd(r, m) == 1]
     assert count_roots(polys, moduli, units_only=True).count == len(units)
+
+
+@pytest.mark.parametrize("p", [3, 5, 17, 97, 7681, 65537])
+def test_quadratic_roots_match_scan(p):
+    # p - 1 has 2-adic valuation 1, 2, 4, 5, 9 and 16: every Tonelli-Shanks depth
+    from ramsum.congruences import _fp_quadratic_roots, _fp_sqrt
+
+    rng = random.Random(p)
+    for _ in range(20):
+        a = rng.randrange(1, p)
+        assert _fp_sqrt(a * a % p, p) in (a, p - a)
+        assert _fp_quadratic_roots([a * a % p, -2 * a % p, 1], p) == [a]
+    for _ in range(4 if p > 1000 else 40):
+        g = [rng.randrange(p), rng.randrange(p), 1]
+        scan = [x for x in range(p) if (x * x + g[1] * x + g[0]) % p == 0]
+        assert sorted(_fp_quadratic_roots(g, p)) == scan
 
 
 def test_count_roots_direct_scale_guard():
