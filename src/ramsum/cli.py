@@ -57,7 +57,9 @@ class CommandRequest:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        # main() prints "ramsum: "; keep only the subcommand of "ramsum E"
+        cmd = self.prog.partition(" ")[2]
+        raise UsageError(f"{cmd}: {message}" if cmd else message)
 
 
 def _int_list(text: str) -> tuple[int, ...]:

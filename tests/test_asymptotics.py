@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -52,8 +53,9 @@ def test_prime_bound_cap():
 
 
 def test_report_checks_prime_bound_before_sieve(monkeypatch):
+    # the report sums over the integer sieve, so that is what must not run
     sieved = []
-    monkeypatch.setattr(asymptotics, "g_r_sieve", lambda r, x: sieved.append((r, x)))
+    monkeypatch.setattr(asymptotics, "_r_sieve", lambda r, x: sieved.append((r, x)))
     with pytest.raises(ScaleError, match="prime bound"):
         asymptotic_report(2, 50_000, 10**7 + 1)
     assert sieved == []
@@ -132,3 +134,50 @@ def test_partial_sum_is_exact():
     x = 200
     vals = g_r_sieve(2, x)
     assert g_r_partial_sum(2, x) == sum(vals[1:], Fraction(0))
+
+
+def test_partial_sum_equals_prefix_sums():
+    for r in (2, 3, 4):
+        total = Fraction(0)
+        for x in range(1, 2001):
+            total += g_r_value(r, x)
+            assert g_r_partial_sum(r, x) == total, (r, x)
+
+
+def _decomposition_sum(r, x):
+    """sum_{d<=x} F_r(d) S_{r-1}(x // d), F_r from the Euler factor data."""
+    power_sums = [0] * (x + 1)
+    for n in range(1, x + 1):
+        power_sums[n] = power_sums[n - 1] + n ** (r - 1)
+    f = [Fraction(0)] * (x + 1)
+    f[1] = Fraction(1)
+    for p in _primes_upto(x):
+        data = euler_factor_data(r, p)
+        # F_r(d p^k) = F_r(d) F_r(p^k) for d coprime to p and k = 1, 2 (zero
+        # on cubes); primes ascend, so f[d] is complete when it is read
+        for pk, local in ((p, data.a_r), (p * p, data.b_r)):
+            for d in range(1, x // pk + 1):
+                if d % p and f[d]:
+                    f[d * pk] = f[d] * local
+    return sum((f[d] * power_sums[x // d] for d in range(1, x + 1) if f[d]), Fraction(0))
+
+
+@pytest.mark.parametrize("x", [1, 2, 997, 31**2, 5000])
+def test_partial_sum_equals_decomposition_route(x):
+    for r in (2, 3, 4):
+        assert g_r_partial_sum(r, x) == _decomposition_sum(r, x), (r, x)
+
+
+@pytest.mark.parametrize("p, field", [(3, "a_r"), (7, "b_r")])
+def test_dirichlet_check_sees_one_corrupted_prime(monkeypatch, p, field):
+    assert dirichlet_decomposition_check(2, 200)
+    exact = asymptotics.euler_factor_data
+
+    def corrupted(r, q):
+        data = exact(r, q)
+        if q != p:
+            return data
+        return dataclasses.replace(data, **{field: getattr(data, field) + 1})
+
+    monkeypatch.setattr(asymptotics, "euler_factor_data", corrupted)
+    assert not dirichlet_decomposition_check(2, 200)

@@ -173,6 +173,16 @@ def test_usage_errors_exit_1(capsys):
         assert "Traceback" not in err, argv
 
 
+def test_usage_error_names_program_once(capsys):
+    # one message raised by argparse, one by parse_args
+    for argv, expected in (
+        (["E", "--moduli", "abc", "--polys", "x"], "ramsum: E: argument --moduli: malformed integer list 'abc'\n"),
+        (["E", "--moduli", "6", "--range", "3", "--polys", "x"], "ramsum: E: --range and --moduli are mutually exclusive\n"),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", expected), argv
+
+
 def test_poly_syntax_error_reports_position(capsys):
     code, _, err = run_main(capsys, "E", "--moduli", "6", "--polys", "x^")
     assert code == 1
