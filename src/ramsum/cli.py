@@ -62,11 +62,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{cmd}: {message}" if cmd else message)
 
 
+# Arguments echoed in error messages are cut after this many characters.
+_ECHO_CAP = 60
+
+
+def _echo(text: str) -> str:
+    """repr(text), cut after _ECHO_CAP characters with the full length appended."""
+    if len(text) <= _ECHO_CAP:
+        return repr(text)
+    return f"{text[:_ECHO_CAP]!r}... ({len(text)} characters)"
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}")
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed integer list {text!r}")
+        raise argparse.ArgumentTypeError(f"malformed integer list {_echo(text)}")
 
 
 def _poly_list(text: str) -> tuple[str, ...]:
@@ -75,7 +93,7 @@ def _poly_list(text: str) -> tuple[str, ...]:
         try:
             parse_polynomial(p)
         except (PolynomialSyntaxError, ScaleError) as exc:
-            raise argparse.ArgumentTypeError(f"bad polynomial {p!r}: {exc}")
+            raise argparse.ArgumentTypeError(f"bad polynomial {_echo(p)}: {exc}")
     return parts
 
 
@@ -88,8 +106,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("c", help="Ramanujan sum c_n(a)")
     p.add_argument("--moduli", type=_int_list, help="the single modulus n")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--range", type=int, dest="range_max", help="tabulate n = 1..N")
+    p.add_argument("--a", type=_int, required=True)
+    p.add_argument("--range", type=_int, dest="range_max", help="tabulate n = 1..N")
     add_format(p)
 
     for name, hlp in (("E", "averaged full-range product sum"), ("R", "coprime product sum")):
@@ -98,15 +116,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--polys", type=_poly_list, help="semicolon-separated polynomials")
         p.add_argument("--shifts", type=_int_list, help="linear system shifts a_i")
         p.add_argument("--strategy", choices=("fast", "direct"), default="fast")
-        p.add_argument("--range", type=int, dest="range_max", help="tabulate all tuples in [1..N]^r")
+        p.add_argument(
+            "--range", type=_int, dest="range_max", help="tabulate all tuples in [1..N]^r"
+        )
         add_format(p)
 
     p = sub.add_parser("T", help="modified orthogonality sum")
     p.add_argument("--moduli", type=_int_list)
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--a", type=_int, required=True)
     p.add_argument("--strategy", choices=("closed", "spectral", "direct"), default="closed")
-    p.add_argument("--r", type=int, help="tuple arity for --range (default 1)")
-    p.add_argument("--range", type=int, dest="range_max")
+    p.add_argument("--r", type=_int, help="tuple arity for --range (default 1)")
+    p.add_argument("--range", type=_int, dest="range_max")
     add_format(p)
 
     p = sub.add_parser("roots", help="root counts N and eta of a congruence system")
@@ -116,19 +136,19 @@ def _build_parser() -> _Parser:
     add_format(p)
 
     p = sub.add_parser("alpha", help="Euler product constant")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, dest="prime_bound", default=100_000)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--prime-bound", type=_int, dest="prime_bound", default=100_000)
     add_format(p)
 
     p = sub.add_parser("asymptotic", help="average-order report for g_r")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, dest="prime_bound", default=100_000)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--x", type=_int, required=True)
+    p.add_argument("--prime-bound", type=_int, dest="prime_bound", default=100_000)
     add_format(p)
 
     p = sub.add_parser("verify", help="run named invariant suites")
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(suite_names())}, all")
-    p.add_argument("--max", type=int, help="override the suite's default range (>= 1)")
+    p.add_argument("--max", type=_int, help="override the suite's default range (>= 1)")
     add_format(p)
 
     return parser

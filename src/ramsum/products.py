@@ -8,6 +8,13 @@ For a system G = (g_1, ..., g_r) of integer polynomials and moduli
   * ``r_g_direct``/``r_g_fast`` compute the same product summed over the
     k coprime to m (no averaging).
 
+The direct oracles sum that product at every residue.  Each factor is a
+row c_{m_i}(g_i(x)), x mod m_i, read off c_{m_i}'s row at the values
+g_i(x) mod m_i that ``congruences.poly_values_mod`` tabulates by forward
+differences; for a monic linear x + b the values run b, b+1, ..., so the
+row is c_{m_i}'s row rotated by b, an index identity that uses no property
+of c_m.
+
 The fast paths rewrite the sums as one divisor-tuple convolution weighted
 by root counts of the congruence system and evaluate it prime by prime:
 at most 2^r divisor terms per prime of m.  Each generic root count
@@ -23,8 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress, cycle, islice, product as cartesian
-from operator import mul
+from itertools import compress, product as cartesian
 
 from .arith import (
     _as_factored,
@@ -36,7 +42,14 @@ from .arith import (
     mobius,
     multiplicative_eval,
 )
-from .congruences import IntPolynomial, _local_root_count, as_system_and_moduli, poly_eval_mod
+from .congruences import (
+    IntPolynomial,
+    _local_root_count,
+    _residue_product,
+    _unit_mask,
+    as_system_and_moduli,
+    poly_values_mod,
+)
 from .errors import ConsistencyError, DomainError, ScaleError
 from .ramanujan import ramanujan_row, ramanujan_sum
 
@@ -49,39 +62,39 @@ _ORACLE_CAP = 10**6
 
 @lru_cache(maxsize=1024)
 def _poly_c_values(coeffs: tuple[int, ...], m: int):
-    """c_m(g(x)) for x = 0..m-1, as a tuple plus its max abs (at least 1)."""
+    """c_m(g(x)) for x = 0..m-1, as a tuple plus its max abs (at least 1).
+
+    The row of c_m is indexed by the values g(x) mod m from
+    ``poly_values_mod``; for a monic linear x + b that index sequence is
+    b, b+1, ..., so the row is the rotation of c_m's row by b mod m.
+    """
     row = ramanujan_row(m)
-    g = IntPolynomial(coeffs)
-    vals = tuple(row[poly_eval_mod(g, x, m)] for x in range(m))
+    if len(coeffs) == 2 and coeffs[1] == 1:
+        b = coeffs[0] % m
+        vals = row[b:] + row[:b]
+    else:
+        vals = tuple(map(row.__getitem__, poly_values_mod(IntPolynomial(coeffs), m)))
     return vals, max(1, max(map(abs, vals)))
 
 
 @lru_cache(maxsize=64)
 def _coprime_mask(m: int) -> bytes:
     """One byte per residue 0..m-1: 1 where gcd(k, m) = 1, else 0."""
-    mask = bytearray(b"\x01") * m
-    if m > 1:
-        for p, _ in factorize(m).factors:
-            mask[::p] = bytes(len(range(0, m, p)))
-    return bytes(mask)
+    return _unit_mask(factorize(m))
 
 
 def _product_sum(system, mt, coprime_only: bool) -> int:
     """sum over residues k mod m of prod_i c_{m_i}(g_i(k)), exactly.
 
     The cached rows c_{m_i}(g_i(x)), x mod m_i, are multiplied term by
-    term in unbounded Python integers, as one lazy chain: after row i the
-    running product has period lcm(m_1, ..., m_i), so each step cycles the
-    product so far and row i to that length, not to m.
+    term in unbounded Python integers, as one lazy chain that cycles each
+    row only to the period of the product so far (``_residue_product``).
     """
-    m = mt.lcm.value
-    first, *rest = (_poly_c_values(g.coeffs, mi)[0] for g, mi in zip(system.polys, mt.moduli))
-    terms, period = first, len(first)
-    for row in rest:
-        period = math.lcm(period, len(row))
-        terms = map(mul, islice(cycle(terms), period), cycle(row))
+    terms = _residue_product(
+        [_poly_c_values(g.coeffs, mi)[0] for g, mi in zip(system.polys, mt.moduli)]
+    )
     if coprime_only:
-        terms = compress(terms, _coprime_mask(m))
+        terms = compress(terms, _coprime_mask(mt.lcm.value))
     return sum(terms)
 
 

@@ -26,9 +26,10 @@ from .arith import (
     euler_phi,
     is_squarefree,
     mobius,
+    moduli_tuple,
 )
 from .asymptotics import asymptotic_report, dirichlet_decomposition_check
-from .congruences import count_roots
+from .congruences import as_poly_system, count_roots
 from .even import coprime_shift_sum, ramanujan_even, s_even, t_a
 from .errors import DomainError
 from .products import (
@@ -86,11 +87,12 @@ def _suite_oracle(max_m: int):
     for g in POLY_CORPUS:
         for r in (1, 2, 3):
             def check(g=g, r=r):
+                sys_ = as_poly_system((g,) * r)
                 for ms in cartesian(range(1, max_m + 1), repeat=r):
-                    sys_ = (g,) * r
-                    if e_g_fast(sys_, ms) != e_g_direct(sys_, ms):
+                    mt = moduli_tuple(ms)
+                    if e_g_fast(sys_, mt) != e_g_direct(sys_, mt):
                         return False
-                    if r_g_fast(sys_, ms) != r_g_direct(sys_, ms):
+                    if r_g_fast(sys_, mt) != r_g_direct(sys_, mt):
                         return False
                 return True
 

@@ -189,6 +189,46 @@ def test_poly_syntax_error_reports_position(capsys):
     assert "position 2" in err
 
 
+def test_bad_argument_echo_is_cut_after_60_characters(capsys):
+    # short arguments are echoed whole, byte for byte as before
+    for argv, expected in (
+        (
+            ["E", "--moduli", "6", "--polys", "x^"],
+            "ramsum: E: argument --polys: bad polynomial 'x^': "
+            "expected exponent digits after '^' (at position 2)\n",
+        ),
+        (
+            ["E", "--moduli", "1,a", "--polys", "x"],
+            "ramsum: E: argument --moduli: malformed integer list '1,a'\n",
+        ),
+        (["c", "--moduli", "6", "--a", "1x"], "ramsum: c: argument --a: invalid int value: '1x'\n"),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", expected), argv
+    # long ones are cut, with their length; the parser's position is kept
+    text = "x+" + "1" * 5000 + "x^"
+    assert main(["E", "--moduli", "6", "--polys", text]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"ramsum: E: argument --polys: bad polynomial {text[:60]!r}... (5004 characters): "
+        "integer of 5000 digits at position 2, capped at <= 4300 digits\n"
+    )
+    text = "x^" + "9" * 4000
+    assert main(["E", "--moduli", "6", "--polys", text]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "... (4002 characters): polynomial degree capped at <= 10^6, got a degree of 4000 digits\n"
+    )
+    assert len(err) < 300
+    for argv, length in (
+        (["c", "--moduli", "6", "--a", "1" * 5000], 5000),
+        (["c", "--moduli", "6," + "2" * 5000, "--a", "1"], 5002),
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"... ({length} characters)\n") and len(err) < 200
+
+
 def test_integer_past_digit_limit_is_bad_polynomial(capsys):
     # int() refuses decimal strings of more than 4300 digits
     for text in ("x^" + "1" * 5000, "1" * 5000 + "x"):

@@ -15,6 +15,7 @@ from ramsum import (
     linear_system_root_count,
     parse_polynomial,
     poly_eval_mod,
+    poly_values_mod,
 )
 
 
@@ -96,6 +97,75 @@ def test_count_roots_linear_single():
 def test_count_roots_length_mismatch():
     with pytest.raises(DomainError):
         count_roots(("x", "x"), (4,))
+
+
+@st.composite
+def _polys_and_moduli(draw):
+    deg = draw(st.integers(-1, 8))
+    big = st.integers(-(10**120), 10**120)
+    small = st.integers(-20, 20)
+    coeffs = [draw(st.one_of(small, big)) for _ in range(deg + 1)]
+    if coeffs and coeffs[-1] == 0:
+        coeffs[-1] = draw(st.sampled_from((-1, 1, 10**100 + 7)))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 400)))
+    return IntPolynomial(tuple(coeffs)), n
+
+
+@given(_polys_and_moduli())
+@settings(max_examples=400, deadline=None)
+def test_poly_values_mod_equals_horner(case):
+    g, n = case
+    assert list(poly_values_mod(g, n)) == [poly_eval_mod(g, x, n) for x in range(n)]
+
+
+def test_poly_values_mod_edge_cases():
+    # zero polynomial, constants, n = 1, deg = n - 1, and the Horner fallback
+    # for deg >= n and for degrees 65 and 200, past the deepest difference nest
+    rng = random.Random(5)
+    for coeffs in (
+        (),
+        (-7,),
+        (10**150,),
+        (5, -3, 0, 2),
+        (1, 0, 0, 0, 0, 0, 0, 0, -(10**101)),
+        tuple(rng.randint(-99, 99) for _ in range(64)) + (3,),
+        tuple(rng.randint(-99, 99) for _ in range(65)) + (-1,),
+        tuple(rng.randint(-99, 99) for _ in range(200)) + (1,),
+    ):
+        g = IntPolynomial(coeffs)
+        for n in (1, 2, 3, 4, 5, 8, 9, 97, 300):
+            assert list(poly_values_mod(g, n)) == [poly_eval_mod(g, x, n) for x in range(n)]
+    with pytest.raises(DomainError):
+        poly_values_mod(IntPolynomial((1, 1)), 0)
+
+
+def _scan_roots(polys, moduli, units):
+    m = math.lcm(*moduli)
+    return sum(
+        1
+        for x in range(m)
+        if (not units or math.gcd(x, m) == 1)
+        and all(poly_eval_mod(g, x, mi) == 0 for g, mi in zip(polys, moduli))
+    )
+
+
+def test_count_roots_direct_equals_per_residue_scan():
+    rng = random.Random(17)
+    for _ in range(150):
+        r = rng.randint(1, 4)
+        polys = []
+        for _ in range(r):
+            deg = rng.randint(0, 4)
+            coeffs = [
+                rng.choice((rng.randint(-9, 9), rng.randint(-(10**40), 10**40))) for _ in range(deg)
+            ]
+            polys.append(IntPolynomial(tuple(coeffs) + (rng.choice((-3, -1, 1, 2, 6)),)))
+        ms = tuple(rng.randint(1, 60) for _ in range(r))
+        if math.lcm(*ms) > 5000:
+            continue
+        for units in (False, True):
+            got = count_roots(polys, ms, units_only=units, strategy="direct").count
+            assert got == _scan_roots(polys, ms, units), (polys, ms, units)
 
 
 def test_count_roots_strategies_agree():

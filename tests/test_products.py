@@ -34,6 +34,20 @@ def linear_system(shifts):
     return tuple(f"x-{a}" if a >= 0 else f"x+{-a}" for a in shifts)
 
 
+def test_poly_c_values_on_linears_is_the_definition():
+    # monic linears take the rotation of c_m's row; 2x + b (2x - 1 at b = -1)
+    # and -x + b take the forward differences
+    from ramsum.products import _poly_c_values
+
+    for b in (0, 1, -1, 5, -13, 10**60 + 3, -(10**100) - 11):
+        for coeffs in ((b, 1), (b, 2), (b, -1)):
+            for m in (1, 2, 4, 6, 9, 12, 30, 97):
+                vals, vmax = _poly_c_values(coeffs, m)
+                want = tuple(ramanujan_sum(m, coeffs[0] + coeffs[1] * x) for x in range(m))
+                assert vals == want, (coeffs, m)
+                assert vmax == max(1, max(map(abs, want)))
+
+
 def test_e_g_known_values():
     assert e_g_direct("x", (5,)) == 0
     assert e_g_direct(("x", "x"), (6, 6)) == 2
