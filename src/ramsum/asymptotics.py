@@ -87,9 +87,13 @@ def _check_alpha_args(r: int, prime_bound: int) -> None:
 def alpha_r(r: int, prime_bound: int) -> float:
     """Partial Euler product over primes p <= prime_bound.
 
-    The infinite product converges absolutely; the truncation error is
-    bounded by the tail sum of 2/p^2, below 2/(prime_bound - 1).  The
-    prime sieve takes prime_bound bytes, so prime_bound is capped at 10^7.
+    Each factor is 1 - u_p with 0 < u_p < min(3/4, (r + 1)/p^2), as it is
+    1 - (1 - (1 - 1/p)^r)/p + (-1)^r (p - 1)^2/p^(r+2), since
+    p(p-1)h_r(p) - x_r(p) = (-1)^r.  So the partial products decrease to
+    alpha_r, and for every r >= 2 the truncation error satisfies
+    0 <= alpha_r(r, P) - alpha_r < alpha_r(r, P) * (r + 1)/P, from the
+    tail sum of (r + 1)/n^2 over n > P.  The prime sieve takes
+    prime_bound bytes, so prime_bound is capped at 10^7.
     """
     _check_alpha_args(r, prime_bound)
     out = 1.0

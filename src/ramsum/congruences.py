@@ -72,7 +72,10 @@ class PolySystem:
 
 
 def as_poly_system(system) -> PolySystem:
-    """Coerce a PolySystem, a polynomial, a string, or a sequence of either."""
+    """Coerce a PolySystem, a polynomial, a string, or a sequence of either.
+
+    Strings are parsed on every call: pass a ``PolySystem`` to evaluate many moduli.
+    """
     if isinstance(system, PolySystem):
         return system
     if isinstance(system, (IntPolynomial, str)):
@@ -177,6 +180,8 @@ def poly_eval_mod(g: IntPolynomial, x: int, n: int) -> int:
 # recurses through every level: a nest of 60000 overflows the C stack, and
 # past about degree 100 Horner's rule is faster (both measured at n = 10^4).
 _DIFFERENCE_MAX_DEGREE = 64
+# Horner costs about 26 ns a step; degree 64 at n = 10^6 stays under this.
+_VALUES_WORK_CAP = 10**8
 
 
 def poly_values_mod(g: IntPolynomial, n: int):
@@ -189,11 +194,14 @@ def poly_values_mod(g: IntPolynomial, n: int):
     are nested C-level ``accumulate`` iterators reducing mod n, so every
     residue is still evaluated, with no Python-level call per residue.
     A polynomial of degree >= n or above 64 is evaluated by Horner's rule
-    at each x.
+    at each x.  Raises :class:`ScaleError` when n * deg g exceeds 10^8,
+    at call time rather than while iterating.
     """
     if n < 1:
         raise DomainError(f"modulus must be positive, got {n}")
     d = g.degree
+    if n * d > _VALUES_WORK_CAP:
+        raise ScaleError(f"residue scan capped at n * degree <= 10^8, got {n} * {d}")
     if d <= 0:
         return repeat(poly_eval_mod(g, 0, n), n)
     if d >= n or d > _DIFFERENCE_MAX_DEGREE:
@@ -540,24 +548,3 @@ def count_roots(system, moduli, units_only: bool = False, strategy: str = "multi
             break
     return RootCount(count, m)
 
-
-def linear_system_root_count(a, d, units_only: bool = False) -> int:
-    """Closed-form count for the linear system x = a_i (mod d_i): 0 or 1.
-
-    The system has a (then unique) solution mod lcm(d_i) iff
-    gcd(d_i, d_j) | a_i - a_j for all pairs; with ``units_only`` the
-    solution additionally counts only if gcd(d_i, a_i) = 1 for all i.
-    """
-    a = tuple(int(v) for v in a)
-    d = tuple(int(v) for v in d)
-    if len(a) != len(d):
-        raise DomainError(f"{len(a)} residues but {len(d)} moduli")
-    if any(di < 1 for di in d):
-        raise DomainError(f"moduli must be positive, got {d}")
-    if units_only and any(math.gcd(di, ai) != 1 for ai, di in zip(a, d)):
-        return 0
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            if (a[i] - a[j]) % math.gcd(d[i], d[j]):
-                return 0
-    return 1

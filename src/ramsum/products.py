@@ -20,10 +20,14 @@ by root counts of the congruence system and evaluate it prime by prime:
 at most 2^r divisor terms per prime of m.  Each generic root count
 finds the common roots mod p and lifts them along a Hensel tree, so its
 cost grows with the number of roots and the exponent, not with p^e.
-``e_shift``/
-``r_shift`` specialize to linear systems x - a_i where the root counts
-are a CRT solvability test, and ``r_prime_power`` evaluates the
-all-ones-shift function R on prime-power tuples directly.
+
+``e_shift``/``r_shift`` are the sums for the linear system x - a_i, with
+one route each: a hypothesis-checked closed form where one applies, else
+the same convolution with each root count replaced by a CRT solvability
+test.  ``e_g_fast``/``r_g_fast`` on the system of ``linear_shift_poly(a_i)``
+give the same values through neither, and the checks hold the two equal.
+``r_prime_power`` evaluates the all-ones-shift function R on prime-power
+tuples directly.
 """
 
 import math
@@ -77,12 +81,6 @@ def _poly_c_values(coeffs: tuple[int, ...], m: int):
     return vals, max(1, max(map(abs, vals)))
 
 
-@lru_cache(maxsize=64)
-def _coprime_mask(m: int) -> bytes:
-    """One byte per residue 0..m-1: 1 where gcd(k, m) = 1, else 0."""
-    return _unit_mask(factorize(m))
-
-
 def _product_sum(system, mt, coprime_only: bool) -> int:
     """sum over residues k mod m of prod_i c_{m_i}(g_i(k)), exactly.
 
@@ -94,7 +92,7 @@ def _product_sum(system, mt, coprime_only: bool) -> int:
         [_poly_c_values(g.coeffs, mi)[0] for g, mi in zip(system.polys, mt.moduli)]
     )
     if coprime_only:
-        terms = compress(terms, _coprime_mask(mt.lcm.value))
+        terms = compress(terms, _unit_mask(mt.lcm))
     return sum(terms)
 
 
@@ -191,7 +189,8 @@ def e_g_fast(system, moduli) -> int:
     Equals ``e_g_direct`` everywhere.  The convolution runs prime by
     prime; each root count lifts the roots mod p of the local system, so
     the cost grows with the exponents of m and the number of roots, not
-    with the prime powers themselves.
+    with the prime powers themselves.  Strings are parsed on every call:
+    pass a ``PolySystem`` to evaluate many moduli.
     """
     return _poly_convolve(system, moduli, False)
 
@@ -199,7 +198,8 @@ def e_g_fast(system, moduli) -> int:
 def r_g_fast(system, moduli) -> int:
     """Coprime product sum via the phi-weighted divisor convolution.
 
-    Equals ``r_g_direct`` everywhere.
+    Equals ``r_g_direct`` everywhere.  Strings are parsed on every call:
+    pass a ``PolySystem`` to evaluate many moduli.
     """
     return _poly_convolve(system, moduli, True)
 
@@ -225,26 +225,25 @@ def _shift_root_count(shifts, p, jvec, units_only: bool) -> int:
     return 1
 
 
-def _shift_args(shifts, moduli, strategy: str):
+def _shift_args(shifts, moduli):
     sh = tuple(int(a) for a in shifts)
     mt = as_moduli_tuple(moduli)
     if len(sh) != len(mt):
         raise DomainError(f"{len(sh)} shifts but {len(mt)} moduli")
-    if strategy not in ("auto", "general"):
-        raise DomainError(f"unknown strategy {strategy!r}")
     return sh, mt
 
 
-def e_shift(shifts, moduli, strategy: str = "auto") -> int:
+def e_shift(shifts, moduli) -> int:
     """(1/m) sum_{k=1..m} c_{m_1}(k - a_1) ... c_{m_r}(k - a_r).
 
-    Strategy "auto" takes the closed form for two shifts differing by 1
-    (nonzero only for equal squarefree moduli, value (-1)^omega); strategy
-    "general" always runs the divisor convolution, here with the CRT
-    solvability indicator in place of generic root counts.
+    Two shifts differing by 1 take the closed form (nonzero only for
+    equal squarefree moduli, value (-1)^omega); every other input runs
+    the divisor convolution with the CRT solvability indicator in place
+    of generic root counts.  The same value without the closed form is
+    ``e_g_fast`` on the system of ``linear_shift_poly(a_i)``.
     """
-    sh, mt = _shift_args(shifts, moduli, strategy)
-    if strategy == "auto" and len(sh) == 2 and abs(sh[0] - sh[1]) == 1:
+    sh, mt = _shift_args(shifts, moduli)
+    if len(sh) == 2 and abs(sh[0] - sh[1]) == 1:
         m1, m2 = mt.moduli
         if m1 == m2 and is_squarefree(m1):
             return (-1) ** distinct_prime_count(m1)
@@ -252,37 +251,36 @@ def e_shift(shifts, moduli, strategy: str = "auto") -> int:
     return _convolve(mt, partial(_shift_root_count, sh), False)
 
 
-def r_shift(shifts, moduli, strategy: str = "auto") -> int:
+def r_shift(shifts, moduli) -> int:
     """sum over k <= m coprime to m of c_{m_1}(k - a_1) ... c_{m_r}(k - a_r).
 
-    Strategy "auto" short-circuits two hypothesis-checked closed forms:
-    pairwise coprime moduli give mu(m) * prod_i c_{m_i}(a_i); two shifts
-    differing by 1 with gcd(a_i, m_i) = 1 give, for squarefree moduli,
+    Two hypothesis-checked closed forms answer first: pairwise coprime
+    moduli give mu(m) * prod_i c_{m_i}(a_i); two shifts differing by 1
+    with gcd(a_i, m_i) = 1 give, for squarefree moduli,
     (-1)^omega(g) * psi(g) with g = gcd(m_1, m_2), and 0 otherwise.
-    Strategy "general" always runs the phi-weighted divisor convolution.
+    Every other input runs the phi-weighted divisor convolution with the
+    CRT solvability indicator.  The same value without the closed forms
+    is ``r_g_fast`` on the system of ``linear_shift_poly(a_i)``.
     """
-    sh, mt = _shift_args(shifts, moduli, strategy)
-    if strategy == "auto":
-        ms = mt.moduli
-        if all(
-            math.gcd(ms[i], ms[j]) == 1 for i in range(len(ms)) for j in range(i + 1, len(ms))
-        ):
-            out = mobius(mt.lcm)
-            for mi, ai in zip(ms, sh):
-                if out == 0:
-                    return 0
-                out *= ramanujan_sum(mi, ai)
-            return out
-        if (
-            len(sh) == 2
-            and abs(sh[0] - sh[1]) == 1
-            and math.gcd(sh[0], ms[0]) == 1
-            and math.gcd(sh[1], ms[1]) == 1
-        ):
-            if is_squarefree(ms[0]) and is_squarefree(ms[1]):
-                g = math.gcd(ms[0], ms[1])
-                return (-1) ** distinct_prime_count(g) * dedekind_psi(g)
-            return 0
+    sh, mt = _shift_args(shifts, moduli)
+    ms = mt.moduli
+    if all(math.gcd(ms[i], ms[j]) == 1 for i in range(len(ms)) for j in range(i + 1, len(ms))):
+        out = mobius(mt.lcm)
+        for mi, ai in zip(ms, sh):
+            if out == 0:
+                return 0
+            out *= ramanujan_sum(mi, ai)
+        return out
+    if (
+        len(sh) == 2
+        and abs(sh[0] - sh[1]) == 1
+        and math.gcd(sh[0], ms[0]) == 1
+        and math.gcd(sh[1], ms[1]) == 1
+    ):
+        if is_squarefree(ms[0]) and is_squarefree(ms[1]):
+            g = math.gcd(ms[0], ms[1])
+            return (-1) ** distinct_prime_count(g) * dedekind_psi(g)
+        return 0
     return _convolve(mt, partial(_shift_root_count, sh), True)
 
 

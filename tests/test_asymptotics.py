@@ -14,6 +14,7 @@ from ramsum import (
     g_r_partial_sum,
     g_r_sieve,
     g_r_value,
+    h_value,
     x_r_value,
 )
 from ramsum import asymptotics
@@ -61,8 +62,20 @@ def test_report_checks_prime_bound_before_sieve(monkeypatch):
     assert sieved == []
 
 
+def test_truncation_error_bound_for_every_r():
+    # 0 < alpha(P) - alpha(10^6) < alpha(P) (r + 1)/P, the documented bound;
+    # the former 2/(P - 1) fails at r = 200 for P = 100 and P = 1000
+    for r in (2, 3, 4, 10, 50, 200):
+        for p in _primes_upto(1000):
+            assert p * (p - 1) * h_value(r, p) - x_r_value(r, p) == (-1) ** r
+        ref = alpha_r(r, 10**6)
+        for bound in (10, 100, 1000):
+            a = alpha_r(r, bound)
+            assert 0 < a - ref < a * (r + 1) / bound, (r, bound)
+
+
 def test_truncation_settles():
-    # documented tail estimate: |alpha(P) - alpha(P')| < 2/(P-1) for P' > P
+    # for r = 2 each factor is within 2/p^2 of 1, so |alpha(P) - alpha(P')| < 2/(P-1) for P' > P
     a4 = alpha_r(2, 10**4)
     a5 = alpha_r(2, 10**5)
     assert abs(a5 - a4) < 2 / (10**4 - 1)
@@ -84,8 +97,6 @@ def test_factor_sizes_bound_refinement():
 
 def test_r2_factor_matches_hand_simplified_form():
     # generic integer numerator vs p^4 - p(p+1) + 1 over p^4
-    from ramsum.products import h_value
-
     for p in _primes_upto(10**4):
         xr = x_r_value(2, p)
         num = p**4 + p * (xr - p**2) + (p * (p - 1) * h_value(2, p) - xr)

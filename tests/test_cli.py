@@ -253,11 +253,14 @@ def test_scale_error_exit_3(capsys):
 
 
 def test_caps_exit_3(capsys):
-    # each input is just above its cap: a prime sieve of 10^7 bytes, a scan of s residues
+    # each input is just above its cap: a prime sieve of 10^7 bytes, a scan of s residues;
+    # the last two scan 70000 residues at degree 60000, past n * degree <= 10^8
     for argv in (
         ["alpha", "--r", "2", "--prime-bound", "10000001"],
         ["asymptotic", "--r", "2", "--x", "10", "--prime-bound", "10000001"],
         ["T", "--moduli", "1000003,1000003", "--a", "0", "--strategy", "spectral"],
+        ["roots", "--moduli", "70000", "--polys", "x^60000+1", "--strategy", "direct"],
+        ["E", "--moduli", "70000", "--polys", "x^60000+1", "--strategy", "direct"],
     ):
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (3, ""), argv

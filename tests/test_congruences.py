@@ -11,8 +11,8 @@ from ramsum import (
     PolynomialSyntaxError,
     ScaleError,
     count_roots,
+    crt_solve,
     linear_shift_poly,
-    linear_system_root_count,
     parse_polynomial,
     poly_eval_mod,
     poly_values_mod,
@@ -137,6 +137,19 @@ def test_poly_values_mod_edge_cases():
             assert list(poly_values_mod(g, n)) == [poly_eval_mod(g, x, n) for x in range(n)]
     with pytest.raises(DomainError):
         poly_values_mod(IntPolynomial((1, 1)), 0)
+
+
+def test_poly_values_mod_work_cap():
+    # n * deg g <= 10^8: degree 100 at n = 10^6 is accepted (not iterated
+    # here), degree 101 is refused when called, before any value is made
+    poly_values_mod(IntPolynomial((1,) + (0,) * 99 + (1,)), 10**6)
+    with pytest.raises(ScaleError, match="10\\^8"):
+        poly_values_mod(IntPolynomial((1,) + (0,) * 100 + (1,)), 10**6)
+    x60000 = IntPolynomial((1,) + (0,) * 59999 + (1,))
+    with pytest.raises(ScaleError):
+        poly_values_mod(x60000, 70000)
+    with pytest.raises(ScaleError):
+        count_roots(x60000, (70000,), strategy="direct")
 
 
 def _scan_roots(polys, moduli, units):
@@ -340,11 +353,21 @@ def test_count_roots_direct_scale_guard():
         count_roots("x", (10**6 + 3,), strategy="direct")
 
 
+def crt_root_count(a, d, units_only=False):
+    # x = a_i (mod d_i) has one root mod lcm(d_i) or none; crt_solve is
+    # checked against a residue scan by the identities suite
+    sol = crt_solve(list(zip(a, d)))
+    if sol is None:
+        return 0
+    x, lcm = sol
+    return int(not units_only or math.gcd(x, lcm) == 1)
+
+
 def test_linear_system_examples():
-    assert linear_system_root_count((0, 1), (2, 2)) == 0
-    assert linear_system_root_count((1, 3), (2, 4)) == 1
-    assert linear_system_root_count((1, 2), (2, 3), units_only=True) == 1
-    assert linear_system_root_count((0,), (5,), units_only=True) == 0
+    assert crt_root_count((0, 1), (2, 2)) == 0
+    assert crt_root_count((1, 3), (2, 4)) == 1
+    assert crt_root_count((1, 2), (2, 3), units_only=True) == 1
+    assert crt_root_count((0,), (5,), units_only=True) == 0
 
 
 def test_linear_system_matches_count_roots():
@@ -352,7 +375,7 @@ def test_linear_system_matches_count_roots():
         for d1 in range(1, 21):
             sys1 = (linear_shift_poly(a1),)
             for units in (False, True):
-                assert linear_system_root_count((a1,), (d1,), units) == count_roots(
+                assert crt_root_count((a1,), (d1,), units) == count_roots(
                     sys1, (d1,), units_only=units
                 ).count
     rng = random.Random(23)
@@ -362,6 +385,6 @@ def test_linear_system_matches_count_roots():
         ds = tuple(rng.randint(1, 20) for _ in range(r))
         system = tuple(linear_shift_poly(a) for a in avs)
         for units in (False, True):
-            assert linear_system_root_count(avs, ds, units) == count_roots(
+            assert crt_root_count(avs, ds, units) == count_roots(
                 system, ds, units_only=units
             ).count, (avs, ds, units)

@@ -17,6 +17,7 @@ from ramsum import (
     g_r_value,
     h_value,
     is_squarefree,
+    linear_shift_poly,
     mobius,
     prime_power_profile,
     r_func,
@@ -32,6 +33,12 @@ CORPUS = ("x", "x-1", "x-2", "x+1", "x^2-1", "x^2+x+1", "2x-1")
 
 def linear_system(shifts):
     return tuple(f"x-{a}" if a >= 0 else f"x+{-a}" for a in shifts)
+
+
+def shift_polys(shifts):
+    # e_g_fast/r_g_fast on this system reach the shift sums by the generic
+    # root counts, past the closed forms and _shift_root_count
+    return tuple(map(linear_shift_poly, shifts))
 
 
 def test_poly_c_values_on_linears_is_the_definition():
@@ -71,6 +78,10 @@ def test_oracle_scale_guard():
         e_g_direct("x", (10**6 + 3,))
     with pytest.raises(ScaleError):
         r_g_direct("x", (10**6 + 3,))
+    # n * degree above 10^8: refused before a row is built
+    for direct in (e_g_direct, r_g_direct):
+        with pytest.raises(ScaleError):
+            direct("x^60000+1", (70000,))
 
 
 def test_arity_mismatch():
@@ -140,7 +151,7 @@ def test_single_polynomial_coprime_moduli_collapse():
 def test_e_shift_known_values():
     assert e_shift((0, 1), (6, 6)) == 1
     assert e_shift((0, 1), (4, 4)) == 0
-    assert e_shift((0, 1), (6, 6), strategy="general") == 1
+    assert e_g_fast(shift_polys((0, 1)), (6, 6)) == 1
     assert e_shift((0,), (5,)) == 0
 
 
@@ -158,7 +169,7 @@ def test_e_shift_equals_direct_oracle():
         ms = tuple(rng.randint(1, 12) for _ in range(r))
         want = e_g_direct(linear_system(sh), ms)
         assert e_shift(sh, ms) == want
-        assert e_shift(sh, ms, strategy="general") == want
+        assert e_g_fast(shift_polys(sh), ms) == want
     # four shifts, prime-power moduli, shifts far outside the moduli
     for _ in range(150):
         r = rng.randint(1, 4)
@@ -166,7 +177,7 @@ def test_e_shift_equals_direct_oracle():
         ms = tuple(rng.choice((8, 9, 16, 27, rng.randint(1, 12))) for _ in range(r))
         want = e_g_direct(linear_system(sh), ms)
         assert e_shift(sh, ms) == want, (sh, ms)
-        assert e_shift(sh, ms, strategy="general") == want, (sh, ms)
+        assert e_g_fast(shift_polys(sh), ms) == want, (sh, ms)
 
 
 def test_adjacent_shift_rule():
@@ -178,7 +189,7 @@ def test_adjacent_shift_rule():
                     assert got == (-1) ** distinct_prime_count(m1)
                 else:
                     assert got == 0
-                assert got == e_shift((a, a + 1), (m1, m2), strategy="general")
+                assert got == e_g_fast(shift_polys((a, a + 1)), (m1, m2))
 
 
 def test_r_shift_known_values():
@@ -195,7 +206,7 @@ def test_r_shift_equals_direct_oracle():
         ms = tuple(rng.randint(1, 12) for _ in range(r))
         want = r_g_direct(linear_system(sh), ms)
         assert r_shift(sh, ms) == want
-        assert r_shift(sh, ms, strategy="general") == want
+        assert r_g_fast(shift_polys(sh), ms) == want
     # four shifts, prime-power moduli, shifts far outside the moduli
     for _ in range(150):
         r = rng.randint(1, 4)
@@ -203,13 +214,15 @@ def test_r_shift_equals_direct_oracle():
         ms = tuple(rng.choice((8, 9, 16, 27, rng.randint(1, 12))) for _ in range(r))
         want = r_g_direct(linear_system(sh), ms)
         assert r_shift(sh, ms) == want, (sh, ms)
-        assert r_shift(sh, ms, strategy="general") == want, (sh, ms)
+        assert r_g_fast(shift_polys(sh), ms) == want, (sh, ms)
 
 
 def test_single_variable_shift_rule():
     for n in range(1, 201):
         for a in range(-50, 51):
-            assert r_shift((a,), (n,), strategy="general") == mobius(n) * ramanujan_sum(n, a)
+            want = mobius(n) * ramanujan_sum(n, a)
+            assert r_shift((a,), (n,)) == want
+            assert r_g_fast(shift_polys((a,)), (n,)) == want
 
 
 def test_pairwise_coprime_shift_rule():
@@ -227,7 +240,7 @@ def test_pairwise_coprime_shift_rule():
         for mi, ai in zip(ms, sh):
             want *= ramanujan_sum(mi, ai)
         assert r_shift(sh, ms) == want
-        assert r_shift(sh, ms, strategy="general") == want
+        assert r_g_fast(shift_polys(sh), ms) == want
 
 
 def test_unit_adjacent_shift_rule():
@@ -237,12 +250,40 @@ def test_unit_adjacent_shift_rule():
                 a2 = a1 + 1
                 if math.gcd(a1, m1) != 1 or math.gcd(a2, m2) != 1:
                     continue
-                got = r_shift((a1, a2), (m1, m2), strategy="general")
+                got = r_shift((a1, a2), (m1, m2))
+                assert got == r_g_fast(shift_polys((a1, a2)), (m1, m2))
                 if is_squarefree(m1) and is_squarefree(m2):
                     g = math.gcd(m1, m2)
                     assert got == (-1) ** distinct_prime_count(g) * dedekind_psi(g)
                 else:
                     assert got == 0
+
+
+def test_shift_root_count_past_the_oracle_cap():
+    # r = 4..8 shifts on moduli from 2^20, 3^12 and 10007^2 with small
+    # cofactors, far past the oracles' lcm cap; the top modulus appears
+    # twice and the shifts differ by multiples of large divisors of it,
+    # so about half of the sums are nonzero
+    rng = random.Random(59)
+
+    def cut(top):
+        # a divisor of top whose valuations are at most 3 below top's
+        return top // math.gcd(top, rng.choice((1, 2, 4, 8, 3, 9, 10007)))
+
+    nonzero = 0
+    for _ in range(100):
+        r = rng.randint(4, 8)
+        top = rng.choice((2**20, 3**12, 10007**2)) * rng.choice((1, 2, 3, 6, 12, 3**12, 10007))
+        ms = [top, top] + [cut(top) for _ in range(r - 2)]
+        rng.shuffle(ms)
+        base = rng.randint(-(10**30), 10**30)
+        sh = tuple(base + cut(top) * rng.randint(-2, 2) for _ in range(r))
+        want_e = e_g_fast(shift_polys(sh), ms)
+        want_r = r_g_fast(shift_polys(sh), ms)
+        assert e_shift(sh, ms) == want_e, (sh, ms)
+        assert r_shift(sh, ms) == want_r, (sh, ms)
+        nonzero += want_e != 0
+    assert nonzero >= 30
 
 
 def test_r_func_known_values():
