@@ -6,7 +6,9 @@ A system G = (g_1, ..., g_r) of integer polynomials paired with moduli
 restricted to x coprime to every m_i; both a direct residue scan and a
 prime-by-prime multiplicative strategy are provided and must agree.  The
 multiplicative strategy's local counts lift the common roots mod p along
-a Hensel tree instead of scanning residues.
+a Hensel tree instead of scanning residues.  The local factors of the
+product sums in ``products`` walk the same tree: ``_local_class_sum``
+sums over the classes on which the valuations v_p(g_i(x)) are constant.
 
 ``poly_values_mod`` is the one per-residue value kernel of the
 definitional scans (the direct root count here and the oracle rows of
@@ -386,9 +388,9 @@ def _fp_quadratic_roots(g: list, p: int) -> list:
 _SCAN_PER_DEGREE_BIT = 4
 
 
-def _common_roots(conds, p: int) -> list:
-    """The x in [0, p) with h(x) = 0 (mod p) for every condition (h, m)."""
-    fs = [_fp_trim([c % p for c in h]) for h, _ in conds]
+def _common_roots(hs, p: int) -> list:
+    """The x in [0, p) with h(x) = 0 (mod p) for every h in hs."""
+    fs = [_fp_trim([c % p for c in h]) for h in hs]
     low = min(fs, key=len)
     if len(low) == 2:
         cands = (-low[0] * pow(low[1], -1, p) % p,)
@@ -464,8 +466,8 @@ def _newton(h, r: int, p: int, m: int) -> int:
     return t
 
 
-# Bounded: one pass of the benchmark's tabulate workload asks for about
-# 3500 distinct keys.
+# Bounded: count_roots and the mu-convolution check route share it, and
+# verify --suite oracle asks for thousands of distinct keys.
 @lru_cache(maxsize=8192)
 def _local_root_count(polys_key, p: int, evec: tuple[int, ...], units_only: bool) -> int:
     """Solutions x mod p^max(evec) of g_i(x) = 0 (mod p^e_i) for all i.
@@ -496,7 +498,7 @@ def _local_root_count(polys_key, p: int, evec: tuple[int, ...], units_only: bool
         if not conds:
             total += p**k - p ** (k - 1) if no_zero else p**k
             continue
-        roots = _common_roots(conds, p)
+        roots = _common_roots([h for h, _ in conds], p)
         if no_zero:
             roots = [r for r in roots if r]
         if max(m for _, m in conds) == p:
@@ -515,6 +517,96 @@ def _local_root_count(polys_key, p: int, evec: tuple[int, ...], units_only: bool
                 continue
             lifted = [c for h, m in conds if (c := _strip(_lift(h, r, p, m), m))]
             stack.append((lifted, k - 1, False))
+    return total
+
+
+def _unit_slope(h, p: int) -> bool:
+    """Whether h = c0 + c1 x (mod p) with c1 a unit.
+
+    Such an h permutes the residues mod every p^n, and for n >= 1 maps the
+    p residues mod p^n of each class mod p^(n-1) onto the p residues mod
+    p^n of one class mod p^(n-1): h(u + p^(n-1) j) = h(u) + p^(n-1) j h'(u).
+    """
+    return len(h) > 1 and h[1] % p != 0 and not any(c % p for c in h[2:])
+
+
+# Bounded: one pass of the benchmark's tabulate workload asks for about
+# 1200 distinct keys.
+@lru_cache(maxsize=4096)
+def _local_class_sum(polys_key, p: int, avec: tuple[int, ...], units_only: bool) -> int:
+    """sum over x mod p^max(avec) of prod_i c_{p^a_i}(g_i(x)), a_i = avec[i].
+
+    With ``units_only`` the sum runs over the x not divisible by p only;
+    entries a_i = 0 give the factor c_1 = 1.  c_{p^a}(n) is phi(p^a) when
+    p^a divides n, -p^(a-1) when v_p(n) = a - 1 and 0 below, so each factor
+    depends only on min(v_p(g_i(x)), a_i), and the sum walks the classes
+    on which that valuation vector is constant.
+
+    A node is a class x = x0 + p^k t; each open condition carries
+    h(t) = g_i(x) / p^c with its content p^c stripped and the remaining
+    modulus p^n = p^(a_i - c), and a condition whose content reaches
+    p^(a_i) is settled on the class with the factor phi(p^(a_i)).  A digit
+    t mod p that is a root of no open h gives every h the valuation 0, so
+    all such digits form one lumped class whose factors are -p^(a_i - 1)
+    when every n is 1, and which is 0 otherwise.  Only the common roots of
+    the conditions with n >= 2 open children, which lift those h along the
+    Hensel tree as ``_local_root_count`` does; a condition with n = 1 takes
+    phi(p^(a_i)) at its roots and -p^(a_i - 1) elsewhere.  A class sums to
+    0 when one condition alone has the largest n and its h has unit slope
+    mod p (as below every simple root): h maps each class mod p^(n-1)
+    onto one, over which c_{p^a} sums to 0, and the other factors are
+    constant there.  The cost grows with r, the roots and max(avec), not
+    with p^max(avec) or 2^r.
+    """
+    weight, conds = 1, []
+    for g, a in zip(polys_key, avec):
+        if a:
+            phi, neg = p**a - p ** (a - 1), -(p ** (a - 1))
+            c = _strip(g, p**a)
+            if c is None:
+                weight *= phi
+            else:
+                conds.append((*c, phi, neg))
+    total = 0
+    stack = [(conds, max(avec), weight, units_only)]
+    while stack:
+        conds, k, w, no_zero = stack.pop()
+        if not conds:
+            total += w * (p**k - p ** (k - 1) if no_zero else p**k)
+            continue
+        if not no_zero:
+            m_top = max(m for _, m, _, _ in conds)
+            tops = [h for h, m, _, _ in conds if m == m_top]
+            if len(tops) == 1 and _unit_slope(tops[0], p):
+                continue
+        # the weight with every last-level condition off its roots; each one
+        # rooted at a digit turns its -p^(a-1) into phi(p^a), a factor 1 - p
+        rooted, deep = {}, []
+        for cond in conds:
+            h, m, _, neg = cond
+            if m == p:
+                w *= neg
+                for r in _common_roots((h,), p):
+                    rooted[r] = rooted.get(r, 0) + 1
+            else:
+                deep.append(cond)
+        if no_zero:
+            rooted.pop(0, None)
+        if not deep:
+            free = p - len(rooted) - no_zero
+            total += w * p ** (k - 1) * (free + sum((1 - p) ** n for n in rooted.values()))
+            continue
+        for r in _common_roots([h for h, _, _, _ in deep], p):
+            if no_zero and not r:
+                continue
+            cw, child = w * (1 - p) ** rooted.get(r, 0), []
+            for h, m, phi, neg in deep:
+                c = _strip(_lift(h, r, p, m), m)
+                if c is None:
+                    cw *= phi
+                else:
+                    child.append((*c, phi, neg))
+            stack.append((child, k - 1, cw, False))
     return total
 
 

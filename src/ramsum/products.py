@@ -15,19 +15,20 @@ differences; for a monic linear x + b the values run b, b+1, ..., so the
 row is c_{m_i}'s row rotated by b, an index identity that uses no property
 of c_m.
 
-The fast paths rewrite the sums as one divisor-tuple convolution weighted
-by root counts of the congruence system and evaluate it prime by prime:
-at most 2^r divisor terms per prime of m.  Each generic root count
-finds the common roots mod p and lifts them along a Hensel tree, so its
-cost grows with the number of roots and the exponent, not with p^e.
+The fast paths evaluate the sums prime by prime.  Since
+c_{p^a}(n) = p^a [p^a | n] - p^(a-1) [p^(a-1) | n], each factor at p
+depends only on min(v_p(g_i(x)), a_i), and one walk over the classes mod
+p^max(a_i) on which those valuations are constant gives the local factor
+(``congruences._local_class_sum``, along the Hensel tree of the roots of
+the system); its cost grows with r, the number of roots and the
+exponents, not with p^e or 2^r.  The paper's mu-weighted divisor-tuple
+convolution over root counts, 2^r terms per prime, stays as the
+independent check route ``_poly_convolve``.
 
-``e_shift``/``r_shift`` are the sums for the linear system x - a_i, with
-one route each: a hypothesis-checked closed form where one applies, else
-the same convolution with each root count replaced by a CRT solvability
-test.  ``e_g_fast``/``r_g_fast`` on the system of ``linear_shift_poly(a_i)``
-give the same values through neither, and the checks hold the two equal.
-``r_prime_power`` evaluates the all-ones-shift function R on prime-power
-tuples directly.
+``e_shift``/``r_shift`` are the sums for the linear system x - a_i: a
+hypothesis-checked closed form where one applies, else the class walk on
+the coefficients of ``linear_shift_poly(a_i)``.  ``r_prime_power``
+evaluates the all-ones-shift function R on prime-power tuples directly.
 """
 
 import math
@@ -48,6 +49,7 @@ from .arith import (
 )
 from .congruences import (
     IntPolynomial,
+    _local_class_sum,
     _local_root_count,
     _residue_product,
     _unit_mask,
@@ -122,7 +124,54 @@ def r_g_direct(system, moduli) -> int:
 
 
 # ---------------------------------------------------------------------------
-# divisor-convolution fast paths, evaluated prime-locally
+# fast paths: one class walk per prime
+
+
+def _class_product(key, mt, coprime: bool) -> int:
+    """The product over the primes p of m of the local class sums.
+
+    The full-range sum divides each by p^max(avec), an exact division.
+    """
+    out = 1
+    for p, avec in mt.profile:
+        local = _local_class_sum(key, p, avec, coprime)
+        if not coprime:
+            local, rem = divmod(local, p ** max(avec))
+            if rem:
+                raise ConsistencyError(f"local sum at p={p} not divisible by p^{max(avec)}")
+        out *= local
+        if not out:
+            break
+    return out
+
+
+def _poly_class_product(system, moduli, coprime: bool) -> int:
+    sys_, mt = as_system_and_moduli(system, moduli)
+    return _class_product(tuple(g.coeffs for g in sys_.polys), mt, coprime)
+
+
+def e_g_fast(system, moduli) -> int:
+    """Averaged product sum, one class walk per prime of m.
+
+    Equals ``e_g_direct`` everywhere.  The cost grows with r, the number
+    of roots of the system and the exponents of m, not with the prime
+    powers themselves.  Strings are parsed on every call: pass a
+    ``PolySystem`` to evaluate many moduli.
+    """
+    return _poly_class_product(system, moduli, False)
+
+
+def r_g_fast(system, moduli) -> int:
+    """Coprime product sum, one class walk over the units per prime of m.
+
+    Equals ``r_g_direct`` everywhere.  Strings are parsed on every call:
+    pass a ``PolySystem`` to evaluate many moduli.
+    """
+    return _poly_class_product(system, moduli, True)
+
+
+# ---------------------------------------------------------------------------
+# the mu-weighted divisor convolution: the independent check route
 
 
 def _mu_terms(avec):
@@ -153,7 +202,7 @@ def _phi_ratio(p: int, a: int, j: int) -> int:
 
 
 def _convolve(mt, root_count, coprime: bool) -> int:
-    """The mu-weighted divisor convolution behind every fast path.
+    """The paper's mu-weighted divisor convolution, which the fast paths are checked against.
 
     ``root_count(p, jvec, coprime)`` counts the roots x mod p^max(jvec)
     of the local system (units only when ``coprime``).  The full-range
@@ -178,51 +227,18 @@ def _convolve(mt, root_count, coprime: bool) -> int:
 
 
 def _poly_convolve(system, moduli, coprime: bool) -> int:
+    """E_G (or R_G when ``coprime``) by the mu-weighted convolution over root counts.
+
+    The check route for ``e_g_fast``/``r_g_fast``: 2^r terms per prime,
+    each a Hensel-tree root count, and no class walk.
+    """
     sys_, mt = as_system_and_moduli(system, moduli)
     key = tuple(g.coeffs for g in sys_.polys)
     return _convolve(mt, partial(_local_root_count, key), coprime)
 
 
-def e_g_fast(system, moduli) -> int:
-    """Averaged product sum via the divisor convolution with root counts.
-
-    Equals ``e_g_direct`` everywhere.  The convolution runs prime by
-    prime; each root count lifts the roots mod p of the local system, so
-    the cost grows with the exponents of m and the number of roots, not
-    with the prime powers themselves.  Strings are parsed on every call:
-    pass a ``PolySystem`` to evaluate many moduli.
-    """
-    return _poly_convolve(system, moduli, False)
-
-
-def r_g_fast(system, moduli) -> int:
-    """Coprime product sum via the phi-weighted divisor convolution.
-
-    Equals ``r_g_direct`` everywhere.  Strings are parsed on every call:
-    pass a ``PolySystem`` to evaluate many moduli.
-    """
-    return _poly_convolve(system, moduli, True)
-
-
 # ---------------------------------------------------------------------------
 # linear-shift specializations
-
-
-def _shift_root_count(shifts, p, jvec, units_only: bool) -> int:
-    """Roots x mod p^max(jvec) of x = a_i (mod p^j_i): 1 if solvable, else 0.
-
-    The moduli p^j_i form a divisor chain, so the system is solvable iff
-    a_i = a_t (mod p^j_i) for every i, with t a position of the top
-    exponent; the root is then a_t, a unit iff p does not divide it.
-    """
-    jmax = max(jvec)
-    top = shifts[jvec.index(jmax)]
-    if units_only and jmax and top % p == 0:
-        return 0
-    for j, a in zip(jvec, shifts):
-        if j and (a - top) % p**j:
-            return 0
-    return 1
 
 
 def _shift_args(shifts, moduli):
@@ -233,14 +249,18 @@ def _shift_args(shifts, moduli):
     return sh, mt
 
 
+def _shift_class_product(sh, mt, coprime: bool) -> int:
+    # (-a, 1) are the coefficients of linear_shift_poly(a)
+    return _class_product(tuple((-a, 1) for a in sh), mt, coprime)
+
+
 def e_shift(shifts, moduli) -> int:
     """(1/m) sum_{k=1..m} c_{m_1}(k - a_1) ... c_{m_r}(k - a_r).
 
     Two shifts differing by 1 take the closed form (nonzero only for
     equal squarefree moduli, value (-1)^omega); every other input runs
-    the divisor convolution with the CRT solvability indicator in place
-    of generic root counts.  The same value without the closed form is
-    ``e_g_fast`` on the system of ``linear_shift_poly(a_i)``.
+    the class walk of ``e_g_fast`` on the system of ``linear_shift_poly(a_i)``,
+    which for r shifts costs O(r * max exponent) per prime.
     """
     sh, mt = _shift_args(shifts, moduli)
     if len(sh) == 2 and abs(sh[0] - sh[1]) == 1:
@@ -248,7 +268,7 @@ def e_shift(shifts, moduli) -> int:
         if m1 == m2 and is_squarefree(m1):
             return (-1) ** distinct_prime_count(m1)
         return 0
-    return _convolve(mt, partial(_shift_root_count, sh), False)
+    return _shift_class_product(sh, mt, False)
 
 
 def r_shift(shifts, moduli) -> int:
@@ -258,9 +278,8 @@ def r_shift(shifts, moduli) -> int:
     moduli give mu(m) * prod_i c_{m_i}(a_i); two shifts differing by 1
     with gcd(a_i, m_i) = 1 give, for squarefree moduli,
     (-1)^omega(g) * psi(g) with g = gcd(m_1, m_2), and 0 otherwise.
-    Every other input runs the phi-weighted divisor convolution with the
-    CRT solvability indicator.  The same value without the closed forms
-    is ``r_g_fast`` on the system of ``linear_shift_poly(a_i)``.
+    Every other input runs the class walk of ``r_g_fast`` on the system
+    of ``linear_shift_poly(a_i)``.
     """
     sh, mt = _shift_args(shifts, moduli)
     ms = mt.moduli
@@ -281,7 +300,7 @@ def r_shift(shifts, moduli) -> int:
             g = math.gcd(ms[0], ms[1])
             return (-1) ** distinct_prime_count(g) * dedekind_psi(g)
         return 0
-    return _convolve(mt, partial(_shift_root_count, sh), True)
+    return _shift_class_product(sh, mt, True)
 
 
 def r_func(moduli) -> int:

@@ -33,6 +33,7 @@ from .congruences import as_poly_system, count_roots, linear_shift_poly
 from .even import coprime_shift_sum, ramanujan_even, s_even, t_a
 from .errors import DomainError
 from .products import (
+    _poly_convolve,
     e_g_direct,
     e_g_fast,
     e_shift,
@@ -84,16 +85,20 @@ def _suite_cohen(max_n: int):
 
 
 def _suite_oracle(max_m: int):
+    """The class walks equal the definitional oracles and the mu-weighted convolution."""
     for g in POLY_CORPUS:
         for r in (1, 2, 3):
             def check(g=g, r=r):
                 sys_ = as_poly_system((g,) * r)
                 for ms in cartesian(range(1, max_m + 1), repeat=r):
                     mt = moduli_tuple(ms)
-                    if e_g_fast(sys_, mt) != e_g_direct(sys_, mt):
-                        return False
-                    if r_g_fast(sys_, mt) != r_g_direct(sys_, mt):
-                        return False
+                    for fast, direct, coprime in (
+                        (e_g_fast, e_g_direct, False),
+                        (r_g_fast, r_g_direct, True),
+                    ):
+                        value = fast(sys_, mt)
+                        if value != direct(sys_, mt) or value != _poly_convolve(sys_, mt, coprime):
+                            return False
                 return True
 
             yield f"poly={g} r={r}", check

@@ -35,6 +35,10 @@ def test_scalar_values(capsys):
     assert run_main(capsys, "c", "--moduli", "4", "--a", "2")[:2] == (0, "-2")
     assert run_main(capsys, "E", "--moduli", "8", "--polys", "x^2-1")[:2] == (0, "2")
     assert run_main(capsys, "E", "--moduli", "6,6", "--shifts", "0,1")[:2] == (0, "1")
+    # 64 shifts: values from e_g_direct/r_g_direct (the lcm is 6)
+    moduli, shifts = ",".join(["6"] * 64), ",".join(map(str, range(64)))
+    assert run_main(capsys, "E", "--moduli", moduli, f"--shifts={shifts}")[:2] == (0, "0")
+    assert run_main(capsys, "R", "--moduli", moduli, f"--shifts={shifts}")[:2] == (0, "-4194304")
 
 
 def test_roots_output(capsys):

@@ -1,15 +1,20 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsum import (
     DomainError,
+    IntPolynomial,
     ScaleError,
     dedekind_psi,
     distinct_prime_count,
+    divisors,
     e_g_direct,
     e_g_fast,
     e_shift,
@@ -19,6 +24,9 @@ from ramsum import (
     is_squarefree,
     linear_shift_poly,
     mobius,
+    moduli_tuple,
+    parse_polynomial,
+    poly_eval_mod,
     prime_power_profile,
     r_func,
     r_g_direct,
@@ -27,6 +35,7 @@ from ramsum import (
     r_shift,
     ramanujan_sum,
 )
+from ramsum.products import _convolve, _poly_convolve
 
 CORPUS = ("x", "x-1", "x-2", "x+1", "x^2-1", "x^2+x+1", "2x-1")
 
@@ -36,8 +45,7 @@ def linear_system(shifts):
 
 
 def shift_polys(shifts):
-    # e_g_fast/r_g_fast on this system reach the shift sums by the generic
-    # root counts, past the closed forms and _shift_root_count
+    # e_g_fast/r_g_fast on this system reach the shift sums past their closed forms
     return tuple(map(linear_shift_poly, shifts))
 
 
@@ -263,7 +271,9 @@ def test_shift_root_count_past_the_oracle_cap():
     # r = 4..8 shifts on moduli from 2^20, 3^12 and 10007^2 with small
     # cofactors, far past the oracles' lcm cap; the top modulus appears
     # twice and the shifts differ by multiples of large divisors of it,
-    # so about half of the sums are nonzero
+    # so about half of the sums are nonzero; the reference is the
+    # mu-weighted convolution over root counts, not the class walk behind
+    # e_shift/r_shift and e_g_fast/r_g_fast
     rng = random.Random(59)
 
     def cut(top):
@@ -278,12 +288,117 @@ def test_shift_root_count_past_the_oracle_cap():
         rng.shuffle(ms)
         base = rng.randint(-(10**30), 10**30)
         sh = tuple(base + cut(top) * rng.randint(-2, 2) for _ in range(r))
-        want_e = e_g_fast(shift_polys(sh), ms)
-        want_r = r_g_fast(shift_polys(sh), ms)
+        want_e = _poly_convolve(shift_polys(sh), ms, False)
+        want_r = _poly_convolve(shift_polys(sh), ms, True)
         assert e_shift(sh, ms) == want_e, (sh, ms)
         assert r_shift(sh, ms) == want_r, (sh, ms)
         nonzero += want_e != 0
     assert nonzero >= 30
+
+
+# Singular roots, p-divisible content, constants and the zero polynomial.
+_SPECIAL = ("x", "x-1", "x^2", "x^3-x", "4x^2+4x", "9x^2-9", "x^2-1", "x^2+x+1", "2x-1", "6", "0")
+# Top exponent per prime: any two of them keep the lcm at most 2^6 * 3^4.
+_TOPS = {2: 6, 3: 4, 5: 2, 7: 2}
+
+
+@st.composite
+def _systems(draw, max_r):
+    """r <= max_r polynomials and moduli built from one or two primes."""
+    primes = draw(st.lists(st.sampled_from(sorted(_TOPS)), min_size=1, max_size=2, unique=True))
+    polys, moduli = [], []
+    for _ in range(draw(st.integers(1, max_r))):
+        if draw(st.booleans()):
+            polys.append(parse_polynomial(draw(st.sampled_from(_SPECIAL))))
+        else:
+            content = draw(st.sampled_from(primes)) ** draw(st.integers(0, 2))
+            coeffs = [c * content for c in draw(st.lists(st.integers(-9, 9), max_size=4))]
+            for _ in range(draw(st.integers(0, 2))):  # times (x - a): repeated roots
+                a = draw(st.integers(-3, 3))
+                coeffs = [u - a * v for u, v in zip([0] + coeffs, coeffs + [0])]
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            polys.append(IntPolynomial(tuple(coeffs)))
+        moduli.append(math.prod(p ** draw(st.integers(0, _TOPS[p])) for p in primes))
+    return tuple(polys), tuple(moduli)
+
+
+@given(_systems(10))
+@settings(max_examples=120, deadline=None)
+def test_class_walk_equals_mu_convolution(case):
+    polys, moduli = case
+    assert e_g_fast(polys, moduli) == _poly_convolve(polys, moduli, False)
+    assert r_g_fast(polys, moduli) == _poly_convolve(polys, moduli, True)
+
+
+@given(_systems(4))
+@settings(max_examples=120, deadline=None)
+def test_class_walk_equals_direct_oracles(case):
+    polys, moduli = case
+    assert math.lcm(*moduli) <= 10**4
+    assert e_g_fast(polys, moduli) == e_g_direct(polys, moduli)
+    assert r_g_fast(polys, moduli) == r_g_direct(polys, moduli)
+
+
+@pytest.mark.parametrize(
+    "polys,moduli",
+    [
+        (("x^2-1", "x+1"), (1000003**2, 1000003**2)),
+        (("x^2+x+1", "x^2+x+1"), (1000003**2, 1000003**2)),
+        (("x^2-1", "x^2+x-2"), (1000003**2, 1000003**2)),
+        (("x^2", "x"), (10007**3, 10007**2)),
+        (("x^2-1", "x+1", "x-1"), (10007**3, 10007**3, 10007)),
+        (("x^2+x-2", "x^2-1"), (10007**3, 10007**3)),
+        (("x^3-x", "x^3-x"), (3**20, 3**20)),
+        (("x^3-x", "9x^2-9"), (3**20, 3**20)),
+        (("x-1", "x-1-3^19", "x^2-1"), (3**20, 3**20, 3**19)),
+    ],
+)
+def test_local_factors_match_sympy_past_scan_cap(polys, moduli):
+    # the mu-expansion of the local factor, its root counts taken from sympy
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.residue_ntheory import polynomial_congruence
+
+    x = sympy.Symbol("x")
+    gs = [parse_polynomial(g.replace("3^19", str(3**19))) for g in polys]
+
+    def root_count(p, jvec, units):
+        top = max(jvec)
+        if top == 0:
+            return 1
+        first = gs[jvec.index(top)]
+        roots = polynomial_congruence(sum(c * x**k for k, c in enumerate(first.coeffs)), p**top)
+        return sum(
+            1
+            for r in roots
+            if not (units and r % p == 0)
+            and all(poly_eval_mod(g, r, p**j) == 0 for g, j in zip(gs, jvec))
+        )
+
+    mt = moduli_tuple(moduli)
+    assert e_g_fast(gs, mt) == _convolve(mt, root_count, False)
+    assert r_g_fast(gs, mt) == _convolve(mt, root_count, True)
+
+
+@pytest.mark.parametrize("m", [6, 2**20, 2**10 * 3**5, 3**12 * 5])
+def test_sixty_four_shifts_in_bounded_time(m):
+    # shifts that agree modulo large divisors of m, so the walk descends
+    # below the first digit; with m = 6 the oracles check the values
+    rng = random.Random(m)
+    step = m // math.prod(p for p, _ in moduli_tuple((m,)).lcm.factors)
+    sh = tuple(rng.randint(-(10**6), 10**6) * step + 17 for _ in range(64))
+    ms = (m,) * 64
+    t0 = time.perf_counter()
+    e, r = e_shift(sh, ms), r_shift(sh, ms)
+    assert time.perf_counter() - t0 < 1.0
+    if m == 6:
+        assert e == e_g_direct(linear_system(sh), ms)
+        assert r == r_g_direct(linear_system(sh), ms)
+    # all shifts equal: sum over the divisor classes x = d * unit of c_m(x)^64
+    t0 = time.perf_counter()
+    want = sum(euler_phi(m // d) * ramanujan_sum(m, d) ** 64 for d in divisors(m)) // m
+    assert e_shift((17,) * 64, ms) == want
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_r_func_known_values():
