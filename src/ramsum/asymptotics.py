@@ -7,19 +7,23 @@ x_r(p) = (p-1)^r + (-1)^r (p-2).  Its partial sums grow like
 computes alpha_r from exact integer factor numerators, sums g_r exactly,
 and verifies the underlying convolution identity g_r = F_r * id_{r-1}.
 
-The exact work is done in integers.  One smallest-prime-factor pass
-builds R(m) = m g_r(m) and q(m), the product of the primes dividing m
-exactly once, so g_r(m) = A(m)/q(m) with A(m) = R(m) q(m)/m an integer.
-The partial sum splits each A/q into an integer and residues c_p/p, one
-per p | q, kept in one running integer and one accumulator per prime;
-the residues over all primes are added by a product tree (binary
-splitting) into a single Fraction.  The convolution identity is checked
-as R(m) = sum_{d|m} (d F_r(d)) (m/d)^r, an identity of integers.
+The exact work is done in integers.  A smallest-prime-factor pass builds
+R(m) = m g_r(m) for every m <= x, for the sieve of g_r and the check of
+the convolution identity, R(m) = sum_{d|m} (d F_r(d)) (m/d)^r.  The
+partial sum splits on the largest prime factor: with s = isqrt(x), it
+sieves R only at the s-smooth m and adds their D g_r(m), integers for D
+the product of the primes up to s; every other m is k p with one prime
+p > s and k <= s, and each such p adds x_r(p)/p times a prefix sum of
+g_r in one division by p.  The residues mod the large primes are added
+by a product tree (binary splitting) into a single Fraction.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, islice, repeat
+from operator import floordiv, mul
 
 from .errors import DomainError, ScaleError
 from .products import h_value, x_r_value
@@ -61,18 +65,19 @@ def _primes_upto(bound: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+            sieve[i * i :: i] = bytes((bound - i * i) // i + 1)
+    return list(compress(range(bound + 1), sieve))
 
 
 def euler_factor(r: int, p: int) -> float:
     """1 + (x_r(p) - p^r)/p^(r+1) + (p(p-1)h_r(p) - x_r(p))/p^(r+2).
 
-    Evaluated in double precision from the exact integer numerator.
+    Evaluated in double precision from the exact integer numerator, whose
+    last term is (-1)^r (see ``alpha_r``).
     """
-    xr = x_r_value(r, p)
-    num = p ** (r + 2) + p * (xr - p**r) + (p * (p - 1) * h_value(r, p) - xr)
-    return num / p ** (r + 2)
+    pr = p**r
+    den = pr * p * p
+    return (den + p * (x_r_value(r, p) - pr) + (-1) ** r) / den
 
 
 def _check_alpha_args(r: int, prime_bound: int) -> None:
@@ -114,19 +119,21 @@ def _spf_table(x: int) -> list[int]:
     return spf
 
 
-def _multiplicative_ints(spf: list[int], at_p, at_p2, step) -> list[int]:
-    """Integer values of a multiplicative f on 0..x (index 0 unused).
+def _multiplicative_ints(spf: list[int], at_p, at_p2, step, indices) -> list[int]:
+    """Integer values of a multiplicative f at 1 and at the given m >= 2.
 
+    Returns a list over 0..x (x = len(spf) - 1) that is 0 off those m.
     f is given by its values f(p) = at_p[p] and f(p^2) = at_p2[p] and by
     f(p^(e+1)) = step[p] f(p^e) for e >= 2; at_p2 and step are only read
-    at primes p <= sqrt(x).  One pass in increasing m, with p = spf[m]:
-    f(m) = f(m/p) f(p) when p divides m once, f(m/p^2) f(p^2) when twice,
-    and f(m/p) step[p] when at least three times.
+    at primes p <= sqrt(x).  One pass over the increasing indices, with
+    p = spf[m]: f(m) = f(m/p) f(p) when p divides m once, f(m/p^2) f(p^2)
+    when twice, and f(m/p) step[p] when at least three times.  So m/p and
+    m/p^2 must be indices (or 1) whenever m is, as they are for all of
+    2..x and for the m with no prime factor above a given bound.
     """
-    x = len(spf) - 1
-    out = [0] * (x + 1)
+    out = [0] * len(spf)
     out[1] = 1
-    for m in range(2, x + 1):
+    for m in indices:
         p = spf[m]
         n = m // p
         if n % p:
@@ -138,26 +145,24 @@ def _multiplicative_ints(spf: list[int], at_p, at_p2, step) -> list[int]:
     return out
 
 
-def _r_sieve(r: int, x: int) -> tuple[list[int], list[int], list[int]]:
-    """spf, R(m) = m g_r(m) and q(m) for m <= x, all as integer lists.
+def _r_locals(r: int, primes: list[int], bound: int) -> tuple[dict, dict, dict]:
+    """The local data of R(m) = m g_r(m) for ``_multiplicative_ints``.
 
     R is multiplicative with R(p) = x_r(p) and, for e >= 2,
     R(p^e) = p^e p^((e-1)(r-1)) (p-1) h_r(p), so R(p^(e+1)) = p^r R(p^e).
-    q(m) is the product of the primes that divide m exactly once; the
-    powerful part of m divides R(m), so g_r(m) = A(m)/q(m) with the
-    integer A(m) = R(m) q(m)/m.
+    R(p) is given at every p in primes, the other two at p <= bound.
     """
-    spf = _spf_table(x)
-    at_p = [0] * (x + 1)
-    for p in range(2, x + 1):
-        if spf[p] == p:
-            at_p[p] = x_r_value(r, p)
-    small = _primes_upto(math.isqrt(x))
+    small = primes[: bisect_right(primes, bound)]
+    at_p = {p: x_r_value(r, p) for p in primes}
     at_p2 = {p: p ** (r + 1) * (p - 1) * h_value(r, p) for p in small}
-    step = {p: p**r for p in small}
-    ones = dict.fromkeys(small, 1)
-    # q takes the value p at p (spf[p] = p) and 1 at every higher power
-    return spf, _multiplicative_ints(spf, at_p, at_p2, step), _multiplicative_ints(spf, spf, ones, ones)
+    return at_p, at_p2, {p: p**r for p in small}
+
+
+def _r_sieve(r: int, x: int) -> tuple[list[int], list[int]]:
+    """spf and R(m) = m g_r(m) for every m <= x, both as integer lists."""
+    spf = _spf_table(x)
+    local = _r_locals(r, _primes_upto(x), math.isqrt(x))
+    return spf, _multiplicative_ints(spf, *local, range(2, x + 1))
 
 
 def _check_sieve_args(r: int, x: int) -> None:
@@ -175,10 +180,12 @@ def g_r_sieve(r: int, x: int) -> list[Fraction]:
     Read off the integer sieve of R(m) = m g_r(m) (see ``_r_sieve``):
     R is assembled multiplicatively from R(p) = x_r(p) and
     R(p^e) = p^e p^((e-1)(r-1)) (p-1) h_r(p) for e >= 2 along a smallest
-    prime factor table, and g_r(m) = R(m)/m.
+    prime factor table over every m <= x, and g_r(m) = R(m)/m.  It does
+    not share the largest-prime-factor split of ``g_r_partial_sum``, so
+    its sum checks that route.
     """
     _check_sieve_args(r, x)
-    _, big_r, _ = _r_sieve(r, x)
+    _, big_r = _r_sieve(r, x)
     return [Fraction(0)] + [Fraction(big_r[m], m) for m in range(1, x + 1)]
 
 
@@ -200,17 +207,15 @@ def dirichlet_decomposition_check(r: int, m_bound: int) -> bool:
     if m_bound > _DIRICHLET_CAP:
         raise ScaleError(f"decomposition check capped at m <= 10^4, got {m_bound}")
 
-    spf, big_r, _ = _r_sieve(r, m_bound)
-    at_p = [0] * (m_bound + 1)
-    at_p2 = {}
-    for p in range(2, m_bound + 1):
-        if spf[p] == p:
-            data = euler_factor_data(r, p)
-            fp, fp2 = p * data.a_r, p * p * data.b_r
-            if fp.denominator != 1 or fp2.denominator != 1:
-                return False
-            at_p[p], at_p2[p] = fp.numerator, fp2.numerator
-    d_f = _multiplicative_ints(spf, at_p, at_p2, dict.fromkeys(at_p2, 0))
+    spf, big_r = _r_sieve(r, m_bound)
+    at_p, at_p2 = {}, {}
+    for p in _primes_upto(m_bound):
+        data = euler_factor_data(r, p)
+        fp, fp2 = p * data.a_r, p * p * data.b_r
+        if fp.denominator != 1 or fp2.denominator != 1:
+            return False
+        at_p[p], at_p2[p] = fp.numerator, fp2.numerator
+    d_f = _multiplicative_ints(spf, at_p, at_p2, dict.fromkeys(at_p2, 0), range(2, m_bound + 1))
     powers = [k**r for k in range(m_bound + 1)]
     conv = [0] * (m_bound + 1)
     for d in range(1, m_bound + 1):
@@ -267,37 +272,42 @@ def _sum_by_product_tree(terms: list[tuple[int, int]]) -> tuple[int, int]:
 def g_r_partial_sum(r: int, x: int) -> Fraction:
     """Exact sum of g_r(m) for m <= x, in integer arithmetic.
 
-    Each g_r(m) = A(m)/q(m) from the integer sieve (q squarefree, see
-    ``_r_sieve``) is split into partial fractions, an integer plus one
-    residue c_p/p for every p | q with c_p = A (q/p)^(-1) mod p.  The
-    integer parts go to one running integer and each c_p to a per-prime
-    accumulator, folded mod p at the end.  The residues over the primes
-    p <= x are summed by a product tree into one fraction, so the only
-    big-integer work is that tree and the final reduction.
+    Split on the largest prime factor, with s = isqrt(x): either m is
+    s-smooth (no prime factor above s), or m = k p for exactly one prime
+    p > s, with p not dividing k <= x // p <= s.  So the sum is
+    sum_{smooth m} g_r(m) + sum_{s < p <= x} (x_r(p)/p) S(x // p), where
+    S(y) is the sum of g_r(k) for k <= y.  The denominator of
+    g_r(m) = R(m)/m divides the product of the primes dividing m once
+    (R(p^e) is a multiple of p^e for e >= 2), so for smooth m it divides
+    D, the product of the primes p <= s, and D g_r(m) = R(m) D // m is an
+    integer; R is sieved at the smooth m only, since m/p of a smooth m is
+    smooth.  Each large prime adds one divmod of x_r(p) N(x // p) by p,
+    with N = D S: the quotient goes to a running integer and the residue
+    c_p/p to a product tree (binary splitting) that sums them into one
+    fraction, divided by D at the end.
     """
     _check_sieve_args(r, x)
-    spf, big_r, big_q = _r_sieve(r, x)
-    whole = 0
-    acc = [0] * (x + 1)
-    for m in range(1, x + 1):
-        q = big_q[m]
-        a = big_r[m] * q // m
-        rest = 0
-        t = q
-        while t > 1:
-            p = spf[t]
-            t //= p
-            cof = q // p
-            c = a * pow(cof, -1, p) % p
-            acc[p] += c
-            rest += c * cof
-        whole += (a - rest) // q
+    s = math.isqrt(x)
+    primes = _primes_upto(x)
+    cut = bisect_right(primes, s)
+    large = primes[cut:]
+    smooth = bytearray([1]) * (x + 1)
+    smooth[0] = 0
+    for p in large:
+        smooth[p::p] = bytes(x // p)
+    at_p, at_p2, step = _r_locals(r, primes, s)
+    # 1 is the first smooth m, and the kernel sets f(1) itself
+    big_r = _multiplicative_ints(_spf_table(x), at_p, at_p2, step, islice(compress(range(x + 1), smooth), 1, None))
+    d = math.prod(primes[:cut])
+    scaled = map(floordiv, map(mul, compress(big_r, smooth), repeat(d)), compress(range(x + 1), smooth))
+    # every k <= s is smooth, so the first s scaled values give N(1..s)
+    prefix = [0, *accumulate(islice(scaled, s))]
+    whole = prefix[-1] + sum(scaled)
     terms = []
-    for p in range(2, x + 1):
-        if acc[p]:
-            carry, c = divmod(acc[p], p)
-            whole += carry
-            if c:
-                terms.append((c, p))
+    for p in large:
+        carry, c = divmod(at_p[p] * prefix[x // p], p)
+        whole += carry
+        if c:
+            terms.append((c, p))
     num, den = _sum_by_product_tree(terms)
-    return Fraction(whole * den + num, den)
+    return Fraction(whole * den + num, d * den)

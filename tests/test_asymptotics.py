@@ -2,6 +2,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsum import (
     DomainError,
@@ -54,20 +56,22 @@ def test_prime_bound_cap():
 
 
 def test_report_checks_prime_bound_before_sieve(monkeypatch):
-    # the report sums over the integer sieve, so that is what must not run
+    # the partial sum and alpha_r both start with the prime sieve, so that
+    # is what must not run
     sieved = []
-    monkeypatch.setattr(asymptotics, "_r_sieve", lambda r, x: sieved.append((r, x)))
+    monkeypatch.setattr(asymptotics, "_primes_upto", lambda bound: sieved.append(bound) or _primes_upto(bound))
     with pytest.raises(ScaleError, match="prime bound"):
         asymptotic_report(2, 50_000, 10**7 + 1)
     assert sieved == []
+    # the patch is live: a valid report does reach it
+    asymptotic_report(2, 50, 100)
+    assert sieved
 
 
 def test_truncation_error_bound_for_every_r():
     # 0 < alpha(P) - alpha(10^6) < alpha(P) (r + 1)/P, the documented bound;
     # the former 2/(P - 1) fails at r = 200 for P = 100 and P = 1000
     for r in (2, 3, 4, 10, 50, 200):
-        for p in _primes_upto(1000):
-            assert p * (p - 1) * h_value(r, p) - x_r_value(r, p) == (-1) ** r
         ref = alpha_r(r, 10**6)
         for bound in (10, 100, 1000):
             a = alpha_r(r, bound)
@@ -93,6 +97,23 @@ def test_factor_sizes_bound_refinement():
             assert 1 - 2 * r / p**2 <= f <= 1 + 2 * r / p**2, (r, p)
             if r == 2:
                 assert 1 - 2 / p**2 <= f <= 1 + 2 / p**2, p
+
+
+def test_factor_numerator_identity():
+    # p(p-1)h_r(p) - x_r(p) = (-1)^r, the last term of euler_factor's numerator
+    primes = _primes_upto(10**4)
+    for r in (*range(2, 9), 10, 50, 200):
+        for p in primes:
+            assert p * (p - 1) * h_value(r, p) - x_r_value(r, p) == (-1) ** r, (r, p)
+
+
+def test_euler_factor_bit_identical_to_h_value_form():
+    primes = _primes_upto(10**4)
+    for r in range(2, 9):
+        for p in primes:
+            xr = x_r_value(r, p)
+            num = p ** (r + 2) + p * (xr - p**r) + (p * (p - 1) * h_value(r, p) - xr)
+            assert euler_factor(r, p) == num / p ** (r + 2), (r, p)
 
 
 def test_r2_factor_matches_hand_simplified_form():
@@ -141,10 +162,10 @@ def test_report_trivial_x():
     assert rep.ratio == float(rep.empirical) / rep.predicted
 
 
-def test_partial_sum_is_exact():
-    x = 200
-    vals = g_r_sieve(2, x)
-    assert g_r_partial_sum(2, x) == sum(vals[1:], Fraction(0))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3000))
+def test_partial_sum_is_exact(r, x):
+    assert g_r_partial_sum(r, x) == sum(g_r_sieve(r, x)[1:], Fraction(0))
 
 
 def test_partial_sum_equals_prefix_sums():
@@ -173,7 +194,9 @@ def _decomposition_sum(r, x):
     return sum((f[d] * power_sums[x // d] for d in range(1, x + 1) if f[d]), Fraction(0))
 
 
-@pytest.mark.parametrize("x", [1, 2, 997, 31**2, 5000])
+# at 101^2 - 1, 101^2 and 101^2 + 1, isqrt(x) steps from 100 to 101, and 101
+# is prime, so it moves from the large primes to the smooth part
+@pytest.mark.parametrize("x", [1, 2, 997, 31**2, 5000, 101**2 - 1, 101**2, 101**2 + 1])
 def test_partial_sum_equals_decomposition_route(x):
     for r in (2, 3, 4):
         assert g_r_partial_sum(r, x) == _decomposition_sum(r, x), (r, x)
