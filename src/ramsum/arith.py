@@ -14,9 +14,6 @@ from functools import lru_cache
 
 from .errors import DomainError, ScaleError
 
-# Exact fraction type used for all non-integer values in the package.
-ExactRational = Fraction
-
 
 @dataclass(frozen=True)
 class FactoredNat:

@@ -189,14 +189,28 @@ def parse_args(argv) -> CommandRequest:
 # execution
 
 
+# A --range table has at most this many rows.
+_RANGE_ROWS_CAP = 10**6
+
+
 def _tuple_space(req: CommandRequest):
+    """The moduli tuples of a --range table; ScaleError above _RANGE_ROWS_CAP rows.
+
+    The row count N^arity is multiplied up one factor at a time and
+    checked after each, so no large power is ever formed.
+    """
     if req.subcommand == "c":
         arity = 1
     elif req.subcommand == "T":
         arity = req.r or 1
     else:
         arity = len(req.polys or req.shifts)
-    return cartesian(range(1, req.range_max + 1), repeat=arity)
+    n, rows = req.range_max, 1
+    for _ in range(arity if n > 1 else 0):
+        rows *= n
+        if rows > _RANGE_ROWS_CAP:
+            raise ScaleError(f"--range {n} over {arity} moduli exceeds 10^6 table rows")
+    return cartesian(range(1, n + 1), repeat=arity)
 
 
 def _evaluator(req: CommandRequest):

@@ -105,31 +105,36 @@ def from_fourier(coeffs: FourierCoefficients) -> SEvenFunction:
     return SEvenFunction(s, values)
 
 
-def cauchy_convolve(f: SEvenFunction, g: SEvenFunction, strategy: str = "spectral") -> SEvenFunction:
-    """(f (x) g)(n) = sum_{k mod s} f(k) g(n - k).
-
-    Strategy "naive" evaluates the defining sum on each divisor of s;
-    "spectral" multiplies expansion coefficients (alpha -> s*alpha_f*alpha_g)
-    and transforms back.  Both produce identical exact results.
-    """
+def _same_period(f: SEvenFunction, g: SEvenFunction) -> int:
     if f.s != g.s:
         raise DomainError(f"period mismatch: {f.s} != {g.s}")
-    s = f.s
-    if strategy == "naive":
-        values = {}
-        for d in divisors(s):
-            acc = Fraction(0)
-            for k in range(s):
-                fk = f(k)
-                if fk:
-                    acc += fk * g(d - k)
-            values[d] = acc
-        return SEvenFunction(s, values)
-    if strategy == "spectral":
-        af = fourier_coefficients(f).alpha
-        ag = fourier_coefficients(g).alpha
-        return from_fourier(FourierCoefficients(s, {d: s * af[d] * ag[d] for d in af}))
-    raise DomainError(f"unknown strategy {strategy!r}")
+    return f.s
+
+
+def cauchy_convolve(f: SEvenFunction, g: SEvenFunction) -> SEvenFunction:
+    """(f (x) g)(n) = sum_{k mod s} f(k) g(n - k), spectrally.
+
+    Multiplies expansion coefficients (alpha -> s*alpha_f*alpha_g) and
+    transforms back; ``cauchy_convolve_naive`` is the defining sum.
+    """
+    s = _same_period(f, g)
+    af = fourier_coefficients(f).alpha
+    ag = fourier_coefficients(g).alpha
+    return from_fourier(FourierCoefficients(s, {d: s * af[d] * ag[d] for d in af}))
+
+
+def cauchy_convolve_naive(f: SEvenFunction, g: SEvenFunction) -> SEvenFunction:
+    """The defining sum of ``cauchy_convolve`` on each divisor of s, exactly."""
+    s = _same_period(f, g)
+    values = {}
+    for d in divisors(s):
+        acc = Fraction(0)
+        for k in range(s):
+            fk = f(k)
+            if fk:
+                acc += fk * g(d - k)
+        values[d] = acc
+    return SEvenFunction(s, values)
 
 
 def coprime_shift_sum(f: SEvenFunction, a: int) -> Fraction:

@@ -25,13 +25,14 @@ exponents, not with p^e or 2^r.  The paper's mu-weighted divisor-tuple
 convolution over root counts, 2^r terms per prime, stays as the
 independent check route ``_poly_convolve``.
 
-``e_shift``/``r_shift`` are the sums for the linear system x - a_i: a
-hypothesis-checked closed form where one applies, else the class walk on
-the coefficients of ``linear_shift_poly(a_i)``.  ``r_prime_power``
-evaluates the all-ones-shift function R on prime-power tuples directly.
+``e_shift``/``r_shift`` are the sums for the linear system x - a_i, by
+the same class walk on the coefficients (-a_i, 1) of
+``linear_shift_poly(a_i)``.  The paper's closed forms for adjacent shifts
+and pairwise coprime moduli are not a route: ``verify`` and the tests
+hold the walk equal to them.  ``r_prime_power`` evaluates the
+all-ones-shift function R on prime-power tuples directly.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -40,11 +41,7 @@ from itertools import compress, product as cartesian
 from .arith import (
     _as_factored,
     as_moduli_tuple,
-    dedekind_psi,
-    distinct_prime_count,
     factorize,
-    is_squarefree,
-    mobius,
     multiplicative_eval,
 )
 from .congruences import (
@@ -57,7 +54,7 @@ from .congruences import (
     poly_values_mod,
 )
 from .errors import ConsistencyError, DomainError, ScaleError
-from .ramanujan import ramanujan_row, ramanujan_sum
+from .ramanujan import ramanujan_row
 
 _ORACLE_CAP = 10**6
 
@@ -242,65 +239,29 @@ def _poly_convolve(system, moduli, coprime: bool) -> int:
 
 
 def _shift_args(shifts, moduli):
-    sh = tuple(int(a) for a in shifts)
+    """The coefficients (-a_i, 1) of ``linear_shift_poly(a_i)``, and the moduli tuple."""
+    key = tuple((-int(a), 1) for a in shifts)
     mt = as_moduli_tuple(moduli)
-    if len(sh) != len(mt):
-        raise DomainError(f"{len(sh)} shifts but {len(mt)} moduli")
-    return sh, mt
-
-
-def _shift_class_product(sh, mt, coprime: bool) -> int:
-    # (-a, 1) are the coefficients of linear_shift_poly(a)
-    return _class_product(tuple((-a, 1) for a in sh), mt, coprime)
+    if len(key) != len(mt):
+        raise DomainError(f"{len(key)} shifts but {len(mt)} moduli")
+    return key, mt
 
 
 def e_shift(shifts, moduli) -> int:
     """(1/m) sum_{k=1..m} c_{m_1}(k - a_1) ... c_{m_r}(k - a_r).
 
-    Two shifts differing by 1 take the closed form (nonzero only for
-    equal squarefree moduli, value (-1)^omega); every other input runs
-    the class walk of ``e_g_fast`` on the system of ``linear_shift_poly(a_i)``,
-    which for r shifts costs O(r * max exponent) per prime.
+    The class walk of ``e_g_fast`` on the system x - a_i; for r shifts
+    it costs O(r * max exponent) per prime of m.
     """
-    sh, mt = _shift_args(shifts, moduli)
-    if len(sh) == 2 and abs(sh[0] - sh[1]) == 1:
-        m1, m2 = mt.moduli
-        if m1 == m2 and is_squarefree(m1):
-            return (-1) ** distinct_prime_count(m1)
-        return 0
-    return _shift_class_product(sh, mt, False)
+    return _class_product(*_shift_args(shifts, moduli), False)
 
 
 def r_shift(shifts, moduli) -> int:
     """sum over k <= m coprime to m of c_{m_1}(k - a_1) ... c_{m_r}(k - a_r).
 
-    Two hypothesis-checked closed forms answer first: pairwise coprime
-    moduli give mu(m) * prod_i c_{m_i}(a_i); two shifts differing by 1
-    with gcd(a_i, m_i) = 1 give, for squarefree moduli,
-    (-1)^omega(g) * psi(g) with g = gcd(m_1, m_2), and 0 otherwise.
-    Every other input runs the class walk of ``r_g_fast`` on the system
-    of ``linear_shift_poly(a_i)``.
+    The class walk of ``r_g_fast`` over the units, on the system x - a_i.
     """
-    sh, mt = _shift_args(shifts, moduli)
-    ms = mt.moduli
-    if all(math.gcd(ms[i], ms[j]) == 1 for i in range(len(ms)) for j in range(i + 1, len(ms))):
-        out = mobius(mt.lcm)
-        for mi, ai in zip(ms, sh):
-            if out == 0:
-                return 0
-            out *= ramanujan_sum(mi, ai)
-        return out
-    if (
-        len(sh) == 2
-        and abs(sh[0] - sh[1]) == 1
-        and math.gcd(sh[0], ms[0]) == 1
-        and math.gcd(sh[1], ms[1]) == 1
-    ):
-        if is_squarefree(ms[0]) and is_squarefree(ms[1]):
-            g = math.gcd(ms[0], ms[1])
-            return (-1) ** distinct_prime_count(g) * dedekind_psi(g)
-        return 0
-    return _shift_class_product(sh, mt, True)
+    return _class_product(*_shift_args(shifts, moduli), True)
 
 
 def r_func(moduli) -> int:

@@ -38,3 +38,16 @@ def test_failed_runs_are_left_out():
     failed = {"workload": "w", "pair": 1, "side": "change", "result": {"error": "exit 1"}}
     runs = [_run("w", 1, "parent", 1.0, 1.0), failed]
     assert ab_bench.summarize(runs, {"wall_s": "lower"}) == {"w": {}}
+
+
+def test_operations_count_failures_per_side():
+    bad = {"workload": "w", "pair": 2, "side": "change", "result": {"correct": False, "attempted": 30, "failed": 3}}
+    crashed = {"workload": "w", "pair": 3, "side": "change", "result": {"error": "exit 1", "stderr": ""}}
+    runs = [_run("w", 1, "parent", 1.0, 1.0), _run("w", 1, "change", 1.0, 1.0), bad, crashed]
+    for run in runs[:2]:
+        run["result"].update(attempted=10, failed=0)
+    sides = ab_bench.operations(runs)["w"]
+    assert sides["parent"] == {"runs": 1, "attempted": 10, "failed": 0, "bad_runs": 0, "failed_share": 0.0}
+    assert sides["change"] == {"runs": 3, "attempted": 40, "failed": 3, "bad_runs": 2, "failed_share": 0.075}
+    # a workload whose runs all crashed has no share to report
+    assert ab_bench.operations([crashed])["w"]["change"]["failed_share"] is None

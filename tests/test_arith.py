@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ramsum import (
     DomainError,
-    ExactRational,
     FactoredNat,
     brauer_rademacher_sides,
     coprime_count_in_class,
@@ -201,11 +200,6 @@ def test_brauer_rademacher_equality_small():
         for k in range(1, 80):
             lhs, rhs = brauer_rademacher_sides(n, k)
             assert lhs == rhs
-
-
-def test_exact_rational_is_fraction_in_lowest_terms():
-    q = ExactRational(6, -4)
-    assert q.numerator == -3 and q.denominator == 2
 
 
 def test_moduli_tuple_profile():

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from ramsum.cli import CommandRequest, execute, main, parse_args
+from ramsum import cli
+from ramsum.cli import CommandRequest, _tuple_space, execute, main, parse_args
 from ramsum.errors import DomainError
 from ramsum.verify import run_suite
 
@@ -270,6 +271,31 @@ def test_caps_exit_3(capsys):
         assert (code, out) == (3, ""), argv
         assert err.startswith("ramsum: scale error: ") and err.count("\n") == 1, argv
         assert "Traceback" not in err, argv
+
+
+def test_range_tables_capped_exit_3(capsys, monkeypatch):
+    # 101^3, 2^30 and 1000001 rows: each over the cap of 10^6, refused before any tuple exists
+    def no_tuples(*args, **kwargs):
+        raise AssertionError("a capped table built its tuples")
+
+    monkeypatch.setattr(cli, "cartesian", no_tuples)
+    for argv in (
+        ["E", "--shifts", "1,2,3", "--range", "101"],
+        ["T", "--a", "0", "--r", "30", "--range", "2"],
+        ["c", "--a", "1", "--range", "1000001"],
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("ramsum: scale error: ") and err.count("\n") == 1, argv
+        code, out, err = run_main(capsys, *argv, "--format", "json")
+        assert (code, err) == (3, ""), argv
+        assert json.loads(out)["error"]["type"] == "scale", argv
+
+
+def test_range_table_at_the_cap_is_allowed():
+    # exactly 10^6 rows pass the count; the tuples are produced lazily, so none is built here
+    for argv in (["T", "--a", "0", "--r", "2", "--range", "1000"], ["c", "--a", "1", "--range", "1000000"]):
+        assert next(_tuple_space(parse_args(argv))) in ((1,), (1, 1))
 
 
 def test_json_error_object(capsys):

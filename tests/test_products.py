@@ -45,7 +45,7 @@ def linear_system(shifts):
 
 
 def shift_polys(shifts):
-    # e_g_fast/r_g_fast on this system reach the shift sums past their closed forms
+    # the system x - a_i, for e_g_fast/r_g_fast and the convolution check route
     return tuple(map(linear_shift_poly, shifts))
 
 
@@ -294,6 +294,47 @@ def test_shift_root_count_past_the_oracle_cap():
         assert r_shift(sh, ms) == want_r, (sh, ms)
         nonzero += want_e != 0
     assert nonzero >= 30
+
+
+# Moduli far past the oracles' lcm cap of 10^6: squarefree, with a square
+# factor, prime powers, alone or with small cofactors.
+_PAST_CAP = (
+    10007 * 10009, 2 * 10007 * 10009, 10007**2 * 3, 10007 * 3, 10009, 2**20, 3**12 * 5, 7 * 11 * 13
+)
+
+
+def test_shift_closed_forms_past_the_oracle_cap():
+    # the paper's closed forms and the mu-weighted convolution over root
+    # counts: two routes independent of the class walk behind e_shift/r_shift
+    def check(shift, coprime, sh, ms, want):
+        assert shift(sh, ms) == want == _poly_convolve(shift_polys(sh), ms, coprime), (sh, ms)
+        return want != 0
+
+    adjacent = unit_adjacent = pairwise_coprime = 0
+    for m1, m2 in product(_PAST_CAP, repeat=2):
+        for a in (-3, 0, 2, 10**20 + 1):
+            # (-1)^omega(m) on equal squarefree moduli, else 0
+            want = (-1) ** distinct_prime_count(m1) if m1 == m2 and is_squarefree(m1) else 0
+            adjacent += check(e_shift, False, (a, a + 1), (m1, m2), want)
+            if math.gcd(a, m1) == 1 and math.gcd(a + 1, m2) == 1:
+                # (-1)^omega(g) psi(g), g = gcd(m_1, m_2), on squarefree moduli, else 0
+                g, want = math.gcd(m1, m2), 0
+                if is_squarefree(m1) and is_squarefree(m2):
+                    want = (-1) ** distinct_prime_count(g) * dedekind_psi(g)
+                unit_adjacent += check(r_shift, True, (a, a + 1), (m1, m2), want)
+    # mu(m) prod_i c_{m_i}(a_i), with shifts on and off the prime divisors
+    for ms in (
+        (10007 * 10009,),
+        (10007**2 * 3,),
+        (3**12 * 5,),
+        (10007 * 10009, 2**20),
+        (10007 * 3, 10009, 2 * 5 * 7),
+        (10007 * 10009, 6, 7 * 11 * 13),
+    ):
+        for sh in product((1, 10007, 3 * 10009 * 5, -(10**20) * 1001), repeat=len(ms)):
+            want = mobius(math.prod(ms)) * math.prod(map(ramanujan_sum, ms, sh))
+            pairwise_coprime += check(r_shift, True, sh, ms, want)
+    assert (adjacent, unit_adjacent, pairwise_coprime) == (20, 47, 132)
 
 
 # Singular roots, p-divisible content, constants and the zero polynomial.

@@ -4,10 +4,10 @@
     python3 tools/ab_bench.py --workload average-order --seed 17 \\
         --out BENCH_<n>.json
 
-The parent is ``HEAD``, checked out with ``git worktree add --detach`` in
-a temporary directory and removed afterwards; the change is the working
-tree this script runs from, left uncommitted over ``HEAD``.  Each side
-runs ``perfbench/run.py`` from its own checkout, so each imports its own
+The parent is ``HEAD``, exported with ``git archive`` into a temporary
+directory and removed afterwards; the change is the working tree this
+script runs from, left uncommitted over ``HEAD``.  Each side runs
+``perfbench/run.py`` from its own checkout, so each imports its own
 ``src/``, and each run lasts the benchmark's own run length.  Runs go one
 process at a time, in 10 pairs per workload that alternate which side
 runs first (the parent in odd pairs).
@@ -16,13 +16,17 @@ The output file holds ``what``, ``command``, ``machine``, ``seed``,
 ``order`` and ``runs``: one entry per run with ``workload``, ``seed``,
 ``pair``, ``side``, ``first`` and the ``result`` object that run.py
 prints as its last line.  It is rewritten after every run, so an
-interrupted A/B run keeps the runs made so far.  A summary of the
-end-to-end metrics (medians, the parent's quartiles and the pairs the
-change wins, by the ``better`` direction in BENCHMARK.json) goes to
-stdout.  Uses the standard library only.
+interrupted A/B run keeps the runs made so far.  A summary goes to
+stdout: under ``metrics`` the end-to-end metrics of the complete pairs
+(medians, the parent's quartiles and the pairs the change wins, by the
+``better`` direction in BENCHMARK.json), and under ``operations``, per
+workload and side, every run's operations attempted and failed and the
+runs that were not correct or did not finish.  Uses the standard library
+only.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -30,6 +34,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -96,6 +101,25 @@ def summarize(runs, better):
     return out
 
 
+def operations(runs):
+    """Per workload and side: runs, operations attempted and failed, their failed share,
+    and ``bad_runs``, the runs with ``correct`` false or an ``error``."""
+    out = {}
+    for run in runs:
+        result = run["result"]
+        row = out.setdefault(run["workload"], {}).setdefault(
+            run["side"], {"runs": 0, "attempted": 0, "failed": 0, "bad_runs": 0}
+        )
+        row["runs"] += 1
+        row["attempted"] += result.get("attempted", 0)
+        row["failed"] += result.get("failed", 0)
+        row["bad_runs"] += not result.get("correct")
+    for sides in out.values():
+        for row in sides.values():
+            row["failed_share"] = row["failed"] / row["attempted"] if row["attempted"] else None
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", action="append", required=True, help="a benchmark workload; repeatable")
@@ -109,7 +133,9 @@ def main(argv=None):
     base = Path(tempfile.mkdtemp(prefix="ab_bench-", dir=args.workdir))
     parent = base / "parent"
     try:
-        git("worktree", "add", "--detach", str(parent), PARENT, cwd=repo)
+        archive = subprocess.run(["git", "archive", PARENT], cwd=repo, check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent)
         roots = {"parent": parent, "change": repo}
         parent_desc = git("rev-parse", "--short", PARENT, cwd=repo)
         better = {m["name"]: m["better"] for m in json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -137,10 +163,9 @@ def main(argv=None):
                     doc["runs"].append({**run, "result": result})
                     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
                     print(f"{workload} pair {pair} {side}: {json.dumps(result)}", file=sys.stderr, flush=True)
-        print(json.dumps(summarize(doc["runs"], better), indent=1))
+        summary = {"metrics": summarize(doc["runs"], better), "operations": operations(doc["runs"])}
+        print(json.dumps(summary, indent=1))
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=repo, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=repo, capture_output=True)
         shutil.rmtree(base, ignore_errors=True)
     return 0
 
