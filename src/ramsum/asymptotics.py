@@ -22,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from operator import floordiv, mul
 
@@ -89,6 +90,7 @@ def _check_alpha_args(r: int, prime_bound: int) -> None:
         raise ScaleError(f"prime bound capped at <= 10^7, got {prime_bound}")
 
 
+@lru_cache(maxsize=16)
 def alpha_r(r: int, prime_bound: int) -> float:
     """Partial Euler product over primes p <= prime_bound.
 
@@ -98,7 +100,8 @@ def alpha_r(r: int, prime_bound: int) -> float:
     alpha_r, and for every r >= 2 the truncation error satisfies
     0 <= alpha_r(r, P) - alpha_r < alpha_r(r, P) * (r + 1)/P, from the
     tail sum of (r + 1)/n^2 over n > P.  The prime sieve takes
-    prime_bound bytes, so prime_bound is capped at 10^7.
+    prime_bound bytes, so prime_bound is capped at 10^7.  Each product is
+    kept, a float per (r, prime_bound), since reports repeat them.
     """
     _check_alpha_args(r, prime_bound)
     out = 1.0

@@ -16,7 +16,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product as cartesian
 
 from .asymptotics import alpha_r, asymptotic_report
@@ -97,7 +97,9 @@ def _poly_list(text: str) -> tuple[str, ...]:
     return parts
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="ramsum", description="exact Ramanujan-sum computations")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -189,12 +191,12 @@ def parse_args(argv) -> CommandRequest:
 # execution
 
 
-# A --range table has at most this many rows.
-_RANGE_ROWS_CAP = 10**6
+# A --range table has at most this many rows, and a row this many moduli.
+_RANGE_CAP = 10**6
 
 
 def _tuple_space(req: CommandRequest):
-    """The moduli tuples of a --range table; ScaleError above _RANGE_ROWS_CAP rows.
+    """The moduli tuples of a --range table; ScaleError above _RANGE_CAP rows or moduli a row.
 
     The row count N^arity is multiplied up one factor at a time and
     checked after each, so no large power is ever formed.
@@ -206,9 +208,11 @@ def _tuple_space(req: CommandRequest):
     else:
         arity = len(req.polys or req.shifts)
     n, rows = req.range_max, 1
+    if arity > _RANGE_CAP:
+        raise ScaleError(f"--range row of {arity} moduli exceeds 10^6 moduli")
     for _ in range(arity if n > 1 else 0):
         rows *= n
-        if rows > _RANGE_ROWS_CAP:
+        if rows > _RANGE_CAP:
             raise ScaleError(f"--range {n} over {arity} moduli exceeds 10^6 table rows")
     return cartesian(range(1, n + 1), repeat=arity)
 

@@ -76,7 +76,8 @@ class PolySystem:
 def as_poly_system(system) -> PolySystem:
     """Coerce a PolySystem, a polynomial, a string, or a sequence of either.
 
-    Strings are parsed on every call: pass a ``PolySystem`` to evaluate many moduli.
+    A string is parsed by ``parse_polynomial``, which parses each short,
+    low-degree text once; a ``PolySystem`` skips even that lookup.
     """
     if isinstance(system, PolySystem):
         return system
@@ -105,6 +106,12 @@ class RootCount:
             raise DomainError(f"count {self.count} outside [0, {self.modulus}]")
 
 
+# Parses of texts of at most this many characters and degree at most
+# _DIFFERENCE_MAX_DEGREE are kept: an entry holds at most 65 coefficients
+# of at most 256 digits together, under 4 kB, so the cache stays under 2 MB.
+_PARSE_CACHE_TEXT = 256
+
+
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse e.g. "x^2-1", "-2x^3+x-7", "2x-1", "5".
 
@@ -115,6 +122,29 @@ def parse_polynomial(text: str) -> IntPolynomial:
     with the offending position on malformed input, and
     :class:`ScaleError` for a degree above 10^6 (the coefficients are
     stored densely) or an integer of more than 4300 digits.
+
+    Short texts of degree at most 64 are parsed once and the (frozen)
+    result is shared; longer or higher-degree texts are parsed on every
+    call and never kept.
+    """
+    if len(text) <= _PARSE_CACHE_TEXT:
+        poly = _parse_short(text)
+        if poly is not None:
+            return poly
+    return _parse(text, _DEGREE_CAP)
+
+
+@lru_cache(maxsize=512)
+def _parse_short(text: str) -> IntPolynomial | None:
+    """``_parse`` of a short text, or None (kept small) above degree 64."""
+    return _parse(text, _DIFFERENCE_MAX_DEGREE)
+
+
+def _parse(text: str, max_degree: int) -> IntPolynomial | None:
+    """The parser behind ``parse_polynomial``.
+
+    Returns None, before laying out the coefficients, when the degree is
+    within the 10^6 cap but above ``max_degree``.
     """
     s = text
     n = len(s)
@@ -165,6 +195,8 @@ def parse_polynomial(text: str) -> IntPolynomial:
     if deg > _DEGREE_CAP:
         shown = str(deg) if deg < 10**60 else f"a degree of {len(str(deg))} digits"
         raise ScaleError(f"polynomial degree capped at <= 10^6, got {shown}")
+    if deg > max_degree:
+        return None
     return IntPolynomial(tuple(coeffs.get(e, 0) for e in range(deg + 1)))
 
 

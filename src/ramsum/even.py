@@ -5,6 +5,12 @@ determined by its values on the divisors of s and is s-periodic; that is
 exactly how it is stored here.  Every such function has unique expansion
 coefficients alpha(d), d | s, with f(n) = sum_{d|s} alpha(d) c_d(n), and
 Cauchy convolution acts diagonally on them: alpha_{f (x) g} = s alpha_f alpha_g.
+
+The public objects hold ``Fraction`` values.  The transforms work on
+integers instead: the values as numerators F(e) = L f(e) over their
+least common denominator L (1 for the c_n kernels), so that
+s L alpha(d) = sum_{e|s} F(e) c_{s/e}(s/d) is an integer sum, and each
+result value costs one division.
 """
 
 import math
@@ -19,21 +25,35 @@ _T_DIRECT_CAP = 10**7
 _SHIFT_SUM_CAP = 10**6
 
 
+def _as_fractions(s: int, values: dict, what: str) -> dict:
+    """A new dict of ``values`` as Fractions; DomainError unless keyed by the divisors of s.
+
+    Fractions are immutable, so those given are kept rather than rebuilt.
+    """
+    if s < 1:
+        raise DomainError(f"period must be positive, got {s}")
+    divs = divisors(s)
+    if set(values) != set(divs):
+        raise DomainError(f"{what} must be keyed by exactly the divisors of {s}")
+    out = {}
+    for d in divs:
+        v = values[d]
+        out[d] = v if type(v) is Fraction else Fraction(v)
+    return out
+
+
 @dataclass(frozen=True)
 class SEvenFunction:
-    """An s-even function stored by its values on the divisors of s."""
+    """An s-even function stored by its values on the divisors of s.
+
+    ``values`` is a copy of the given mapping, converted to Fractions.
+    """
 
     s: int
     values: dict
 
     def __post_init__(self):
-        if self.s < 1:
-            raise DomainError(f"period must be positive, got {self.s}")
-        divs = divisors(self.s)
-        if set(self.values) != set(divs):
-            raise DomainError(f"values must be keyed by exactly the divisors of {self.s}")
-        for d in divs:
-            self.values[d] = Fraction(self.values[d])
+        object.__setattr__(self, "values", _as_fractions(self.s, self.values, "values"))
 
     def __call__(self, n: int) -> Fraction:
         return self.values[math.gcd(n % self.s, self.s)]
@@ -41,19 +61,16 @@ class SEvenFunction:
 
 @dataclass(frozen=True)
 class FourierCoefficients:
-    """Expansion coefficients alpha(d) of an s-even function, d | s."""
+    """Expansion coefficients alpha(d) of an s-even function, d | s.
+
+    ``alpha`` is a copy of the given mapping, converted to Fractions.
+    """
 
     s: int
     alpha: dict
 
     def __post_init__(self):
-        if self.s < 1:
-            raise DomainError(f"period must be positive, got {self.s}")
-        divs = divisors(self.s)
-        if set(self.alpha) != set(divs):
-            raise DomainError(f"coefficients must be keyed by exactly the divisors of {self.s}")
-        for d in divs:
-            self.alpha[d] = Fraction(self.alpha[d])
+        object.__setattr__(self, "alpha", _as_fractions(self.s, self.alpha, "coefficients"))
 
 
 def s_even(s: int, values) -> SEvenFunction:
@@ -69,7 +86,7 @@ def ramanujan_even(n: int, s: int | None = None) -> SEvenFunction:
     s = n if s is None else s
     if s % n:
         raise DomainError(f"{n} does not divide the requested period {s}")
-    return SEvenFunction(s, {d: Fraction(ramanujan_sum(n, d)) for d in divisors(s)})
+    return SEvenFunction(s, {d: ramanujan_sum(n, d) for d in divisors(s)})
 
 
 def evaluate(f: SEvenFunction, n: int) -> Fraction:
@@ -77,32 +94,33 @@ def evaluate(f: SEvenFunction, n: int) -> Fraction:
     return f(n)
 
 
+def _numerators(values: dict) -> tuple[int, dict]:
+    """(L, {d: L v_d}): the Fraction values as integers over their least common denominator L."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return den, {d: v.numerator * (den // v.denominator) for d, v in values.items()}
+
+
+def _analysis(s: int, numerators: dict) -> dict:
+    """{d: sum_{e|s} F(e) c_{s/e}(s/d)}, keyed like F = L f by the divisors d of s: s L alpha(d)."""
+    return {d: sum(fe * ramanujan_sum(s // e, s // d) for e, fe in numerators.items() if fe) for d in numerators}
+
+
+def _synthesis(coefficients: dict) -> dict:
+    """{e: sum_{d|s} A(d) c_d(e)}, keyed like A by the divisors of s: the values of sum_d A(d) c_d."""
+    return {e: sum(a * ramanujan_sum(d, e) for d, a in coefficients.items() if a) for e in coefficients}
+
+
 def fourier_coefficients(f: SEvenFunction) -> FourierCoefficients:
     """alpha(d) = (1/s) sum_{e|s} f(e) c_{s/e}(s/d), exactly."""
-    s = f.s
-    divs = divisors(s)
-    alpha = {}
-    for d in divs:
-        acc = Fraction(0)
-        for e in divs:
-            fe = f.values[e]
-            if fe:
-                acc += fe * ramanujan_sum(s // e, s // d)
-        alpha[d] = acc / s
-    return FourierCoefficients(s, alpha)
+    den, num = _numerators(f.values)
+    sl = f.s * den
+    return FourierCoefficients(f.s, {d: Fraction(a, sl) for d, a in _analysis(f.s, num).items()})
 
 
 def from_fourier(coeffs: FourierCoefficients) -> SEvenFunction:
     """The s-even function f(n) = sum_{d|s} alpha(d) c_d(n)."""
-    s = coeffs.s
-    values = {}
-    for e in divisors(s):
-        acc = Fraction(0)
-        for d, a in coeffs.alpha.items():
-            if a:
-                acc += a * ramanujan_sum(d, e)
-        values[e] = acc
-    return SEvenFunction(s, values)
+    den, num = _numerators(coeffs.alpha)
+    return SEvenFunction(coeffs.s, {e: Fraction(v, den) for e, v in _synthesis(num).items()})
 
 
 def _same_period(f: SEvenFunction, g: SEvenFunction) -> int:
@@ -115,12 +133,17 @@ def cauchy_convolve(f: SEvenFunction, g: SEvenFunction) -> SEvenFunction:
     """(f (x) g)(n) = sum_{k mod s} f(k) g(n - k), spectrally.
 
     Multiplies expansion coefficients (alpha -> s*alpha_f*alpha_g) and
-    transforms back; ``cauchy_convolve_naive`` is the defining sum.
+    transforms back; ``cauchy_convolve_naive`` is the defining sum.  With
+    A = s L alpha for each side, s alpha_f alpha_g = A_f A_g / (s L_f L_g),
+    so the products and the transform back stay in integers.
     """
     s = _same_period(f, g)
-    af = fourier_coefficients(f).alpha
-    ag = fourier_coefficients(g).alpha
-    return from_fourier(FourierCoefficients(s, {d: s * af[d] * ag[d] for d in af}))
+    den_f, num_f = _numerators(f.values)
+    den_g, num_g = _numerators(g.values)
+    af, ag = _analysis(s, num_f), _analysis(s, num_g)
+    den = s * den_f * den_g
+    values = _synthesis({d: af[d] * ag[d] for d in af})
+    return SEvenFunction(s, {e: Fraction(v, den) for e, v in values.items()})
 
 
 def cauchy_convolve_naive(f: SEvenFunction, g: SEvenFunction) -> SEvenFunction:
@@ -142,28 +165,31 @@ def coprime_shift_sum(f: SEvenFunction, a: int) -> Fraction:
 
     Computed both directly and through the coefficient identity
     phi(s) * sum_{d|s} alpha(d) mu(d) c_d(a) / phi(d); the two sides must
-    agree exactly.  The direct side scans all s residues, so s is capped
-    at 10^6.
+    agree exactly.  Both run in integers over the values' common
+    denominator L: the direct side sums L f(a - k) over the units k, the
+    spectral side sums s L alpha(d) mu(d) c_d(a) phi(s)/phi(d) (phi(d)
+    divides phi(s)), which must be s times the direct sum.  The direct
+    side scans all s residues, so s is capped at 10^6.
     """
     s = f.s
     if s > _SHIFT_SUM_CAP:
         raise ScaleError(f"coprime shift sum capped at s <= 10^6, got {s}")
-    direct = Fraction(0)
-    for k in range(1, s + 1):
-        if math.gcd(k, s) == 1:
-            direct += f(a - k)
-    spectral = Fraction(0)
-    for d, alpha in fourier_coefficients(f).alpha.items():
+    den, num = _numerators(f.values)
+    gcd = math.gcd
+    direct = sum(num[gcd((a - k) % s, s)] for k in range(1, s + 1) if gcd(k, s) == 1)
+    phi_s = euler_phi(s)
+    spectral = 0
+    for d, alpha in _analysis(s, num).items():
         if alpha:
             w = mobius(d)
             if w:
-                spectral += alpha * w * ramanujan_sum(d, a) / euler_phi(d)
-    spectral *= euler_phi(s)
-    if direct != spectral:
+                spectral += alpha * w * ramanujan_sum(d, a) * (phi_s // euler_phi(d))
+    if spectral != s * direct:
         raise ConsistencyError(
-            f"coprime shift sum mismatch for s={s}, a={a}: {direct} != {spectral}"
+            f"coprime shift sum mismatch for s={s}, a={a}: "
+            f"{Fraction(direct, den)} != {Fraction(spectral, s * den)}"
         )
-    return direct
+    return Fraction(direct, den)
 
 
 def t_a(moduli, a: int, strategy: str = "closed") -> int:

@@ -152,8 +152,8 @@ def e_g_fast(system, moduli) -> int:
 
     Equals ``e_g_direct`` everywhere.  The cost grows with r, the number
     of roots of the system and the exponents of m, not with the prime
-    powers themselves.  Strings are parsed on every call: pass a
-    ``PolySystem`` to evaluate many moduli.
+    powers themselves.  Strings go through ``parse_polynomial``, which
+    keeps the parses of short, low-degree texts.
     """
     return _poly_class_product(system, moduli, False)
 
@@ -161,8 +161,8 @@ def e_g_fast(system, moduli) -> int:
 def r_g_fast(system, moduli) -> int:
     """Coprime product sum, one class walk over the units per prime of m.
 
-    Equals ``r_g_direct`` everywhere.  Strings are parsed on every call:
-    pass a ``PolySystem`` to evaluate many moduli.
+    Equals ``r_g_direct`` everywhere.  Strings go through
+    ``parse_polynomial``, which keeps the parses of short, low-degree texts.
     """
     return _poly_class_product(system, moduli, True)
 

@@ -68,6 +68,18 @@ def test_report_checks_prime_bound_before_sieve(monkeypatch):
     assert sieved
 
 
+def test_each_euler_product_is_computed_once(monkeypatch):
+    # an average-order pass asks for the same (r, prime_bound) products again
+    sieved = []
+    monkeypatch.setattr(asymptotics, "_primes_upto", lambda bound: sieved.append(bound) or _primes_upto(bound))
+    alpha_r.cache_clear()
+    first = alpha_r(2, 1000)
+    assert alpha_r(2, 1000) == first and sieved == [1000]
+    assert alpha_r(3, 1000) != first and sieved == [1000, 1000]
+    assert asymptotic_report(2, 50, 1000).predicted == first / 2 * 50.0**2
+    assert sieved.count(1000) == 2
+
+
 def test_truncation_error_bound_for_every_r():
     # 0 < alpha(P) - alpha(10^6) < alpha(P) (r + 1)/P, the documented bound;
     # the former 2/(P - 1) fails at r = 200 for P = 100 and P = 1000

@@ -274,7 +274,8 @@ def test_caps_exit_3(capsys):
 
 
 def test_range_tables_capped_exit_3(capsys, monkeypatch):
-    # 101^3, 2^30 and 1000001 rows: each over the cap of 10^6, refused before any tuple exists
+    # 101^3, 2^30 and 1000001 rows, then one row of 1000001 moduli: each over the cap of 10^6,
+    # refused before any tuple exists
     def no_tuples(*args, **kwargs):
         raise AssertionError("a capped table built its tuples")
 
@@ -283,6 +284,7 @@ def test_range_tables_capped_exit_3(capsys, monkeypatch):
         ["E", "--shifts", "1,2,3", "--range", "101"],
         ["T", "--a", "0", "--r", "30", "--range", "2"],
         ["c", "--a", "1", "--range", "1000001"],
+        ["T", "--a", "0", "--r", "1000001", "--range", "1"],
     ):
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (3, ""), argv
@@ -296,6 +298,42 @@ def test_range_table_at_the_cap_is_allowed():
     # exactly 10^6 rows pass the count; the tuples are produced lazily, so none is built here
     for argv in (["T", "--a", "0", "--r", "2", "--range", "1000"], ["c", "--a", "1", "--range", "1000000"]):
         assert next(_tuple_space(parse_args(argv))) in ((1,), (1, 1))
+    assert next(_tuple_space(parse_args(["T", "--a", "0", "--r", "1000000", "--range", "1"]))) == (1,) * 10**6
+
+
+def test_huge_range_row_exits_3_in_bounded_memory():
+    # one row of 10^9 moduli would make a 10^9-entry pool; the child has 1 GiB of address space
+    limit = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    code = limit + "from ramsum.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["T", "--a", "0", "--r", "1000000000", "--range", "1"]
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert done.stderr == "ramsum: scale error: --range row of 1000000000 moduli exceeds 10^6 moduli\n"
+
+
+# Run in one process, in this order, then each in a fresh process: one parser
+# serves them all, across a usage error and a JSON-mode domain error.
+_IN_PROCESS_SEQUENCE = (
+    ["E", "--polys", "x^2-1;x+1", "--range", "4", "--format", "csv"],
+    ["E", "--moduli", "6", "--polys", "x^^2"],
+    ["T", "--a", "3", "--r", "2", "--range", "4", "--strategy", "spectral"],
+    ["c", "--moduli", "0", "--a", "1", "--format", "json"],
+    ["R", "--moduli", "6,10", "--polys", "x^2-1;x+1", "--format", "json"],
+    ["bogus"],
+    ["E", "--shifts", "1,2", "--moduli", "6,4"],
+    ["alpha", "--r", "2", "--prime-bound", "100"],
+    ["E", "--polys", "x^2-1;x+1", "--range", "4", "--format", "csv"],
+)
+
+
+def test_in_process_runs_print_what_fresh_processes_print(capsys):
+    cli._build_parser.cache_clear()
+    for argv in _IN_PROCESS_SEQUENCE:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ramsum", *argv], capture_output=True, timeout=60)
+        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_json_error_object(capsys):

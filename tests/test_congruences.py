@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from ramsum import (
     poly_eval_mod,
     poly_values_mod,
 )
+from ramsum import congruences
 
 
 def test_parse_examples():
@@ -256,6 +259,41 @@ def test_parse_digit_cap():
         with pytest.raises(ScaleError, match="4300 digits"):
             parse_polynomial(text)
     assert parse_polynomial("1" * 4300).coeffs == (int("1" * 4300),)
+
+
+def test_parses_of_long_or_high_degree_texts_are_not_kept():
+    # "x^1000000+1" is short but lays out 10^6 + 1 coefficients; the long
+    # text is of degree 64 but longer than the cached 256 characters
+    long_text = "+".join(["x^64"] + ["1"] * 200)
+    for text in ("x^1000000+1", long_text):
+        poly = parse_polynomial(text)
+        assert poly == parse_polynomial(text) and poly is not parse_polynomial(text)
+        ref = weakref.ref(poly)
+        del poly
+        gc.collect()
+        assert ref() is None, text
+    assert parse_polynomial("x^2-1") is parse_polynomial("x^2-1")
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except (PolynomialSyntaxError, ScaleError) as exc:
+        return type(exc), exc.args, str(exc)
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="x^+-0123456789 ", max_size=40),
+        st.sampled_from(["x^64+1", "x^65+1", "x^1000001", "x^1000001-x^1000001+x", "1" * 4301, ""]),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_cached_and_uncached_parses_agree(text):
+    # the first call may fill the cache and the second read it; both equal the parser itself
+    want = _parse_outcome(lambda t: congruences._parse(t, congruences._DEGREE_CAP), text)
+    assert _parse_outcome(parse_polynomial, text) == want
+    assert _parse_outcome(parse_polynomial, text) == want
 
 
 # Primes with the largest exponent e such that p^e <= 10^5; at 101 and 317

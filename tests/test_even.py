@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from ramsum import (
     DomainError,
+    FourierCoefficients,
     ScaleError,
+    SEvenFunction,
     cauchy_convolve,
     cauchy_convolve_naive,
     constant_even,
@@ -227,3 +229,46 @@ def test_consistency_error_is_not_raised_for_valid_functions():
         s = rng.randint(1, 40)
         f = s_even(s, {d: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in divisors(s)})
         coprime_shift_sum(f, rng.randint(-20, 20))
+
+
+def test_constructors_copy_the_callers_mapping():
+    for make in (SEvenFunction, FourierCoefficients):
+        given_values = {1: 1, 2: 3}
+        obj = make(2, given_values)
+        held = obj.values if make is SEvenFunction else obj.alpha
+        assert held is not given_values and held == {1: 1, 2: 3}
+        assert [type(v) for v in given_values.values()] == [int, int]
+        assert [type(v) for v in held.values()] == [Fraction, Fraction]
+
+
+def _c(n, k):
+    # c_n(k) from the sieved row, not from the divisor-sum evaluator the transforms use
+    return ramanujan_row(n)[k % n]
+
+
+@st.composite
+def _s_even_cases(draw):
+    s = draw(st.sampled_from((1, 2, 4, 6, 8, 9, 12, 18, 24, 30, 36, 45, 60, 64, 72)))
+    rationals = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+    f = {d: draw(rationals) for d in divisors(s)}
+    g = {d: draw(st.one_of(rationals, st.integers(-3, 3))) for d in divisors(s)}
+    return s, f, g, draw(st.integers(-100, 100))
+
+
+@given(_s_even_cases())
+@settings(max_examples=60, deadline=None)
+def test_s_even_transforms_equal_their_defining_sums(case):
+    # each transform against a Fraction evaluation of its defining formula
+    s, fv, gv, a = case
+    divs = divisors(s)
+    f, g = s_even(s, fv), s_even(s, gv)
+    want_alpha = {d: sum(fv[e] * _c(s // e, s // d) for e in divs) / s for d in divs}
+    assert fourier_coefficients(f).alpha == want_alpha
+    beta = fourier_coefficients(g).alpha
+    want_back = {e: Fraction(sum(want_alpha[d] * _c(d, e) for d in divs)) for e in divs}
+    assert from_fourier(FourierCoefficients(s, want_alpha)).values == want_back == fv
+    want_conv = {e: Fraction(sum(s * want_alpha[d] * beta[d] * _c(d, e) for d in divs)) for e in divs}
+    conv = cauchy_convolve(f, g)
+    assert conv.values == want_conv == cauchy_convolve_naive(f, g).values
+    units = [k for k in range(1, s + 1) if math.gcd(k, s) == 1]
+    assert coprime_shift_sum(f, a) == sum(fv[math.gcd((a - k) % s, s)] for k in units)
