@@ -45,11 +45,31 @@ class FactoredNat:
 
 # Increments of the mod-30 wheel, starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# Trial division stops at this bound; a cofactor with no prime factor
+# below it goes to Miller-Rabin and Pollard-Brent rho.
+_TRIAL_BOUND = 1 << 20
+_TRIAL_SQUARE = _TRIAL_BOUND**2
+# Strong probable primes to the first 13 prime bases are prime below
+# _MR_EXACT (Sorenson & Webster, "Strong pseudoprimes to twelve prime
+# bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+# Iterations of x -> x^2 + c that one factorization may spend in rho:
+# about 0.5 s on a 2-core x86_64 machine.  Rho's expected steps grow as
+# the square root of the factor it finds, so factors up to about 2^40 fit.
+_RHO_STEPS = 1 << 21
 
 
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> FactoredNat:
-    """Factor ``n >= 1`` by deterministic trial division (2-3-5 wheel)."""
+    """Factor ``n >= 1`` exactly.
+
+    Trial division (2-3-5 wheel) finds every prime factor below 2^20, so
+    a modulus below 2^40 needs nothing else.  A larger cofactor is proven
+    prime by deterministic Miller-Rabin or split by Pollard-Brent rho
+    under a step budget; ScaleError when that budget runs out or a
+    cofactor above 3.3 * 10^24 is a probable prime that cannot be proven.
+    """
     if n < 1:
         raise DomainError(f"cannot factor {n}: positive integer required")
     m = n
@@ -62,18 +82,96 @@ def factorize(n: int) -> FactoredNat:
                 e += 1
             factors.append((p, e))
     f, i = 7, 0
-    while f * f <= m:
+    top = min(m, _TRIAL_SQUARE)  # one comparison a step: f * f <= m and f <= _TRIAL_BOUND
+    while f * f <= top:
         if m % f == 0:
             e = 0
             while m % f == 0:
                 m //= f
                 e += 1
             factors.append((f, e))
+            top = min(m, _TRIAL_SQUARE)
         f += _WHEEL[i]
         i = (i + 1) & 7
-    if m > 1:
-        factors.append((m, 1))
+    if f * f > m:
+        if m > 1:
+            factors.append((m, 1))
+    else:
+        factors += _large_factors(n, m)
     return FactoredNat(n, tuple(factors))
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Whether the odd n > 41 is a strong probable prime to every base in _MR_BASES."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int, c: int, steps: int):
+    """(g, steps used): g a divisor of the odd composite n found by Brent's cycle
+    search on x -> x^2 + c (n when it fails), None when ``steps`` would be passed."""
+    gcd = math.gcd
+    y, r, q, g, used = 2, 1, 1, 1, 0
+    while g == 1:
+        if used + 2 * r > steps:
+            return None, used
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = gcd(q, n)
+            k += 128
+        used += 2 * r
+        r *= 2
+    if g == n:  # the batch overshot: retrace it one step at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(abs(x - ys), n)
+    return g, used
+
+
+def _large_factors(n: int, m: int) -> list[tuple[int, int]]:
+    """The factorization of the cofactor m of n, which has no prime factor below _TRIAL_BOUND."""
+    primes, stack, budget = [], [m], _RHO_STEPS
+    while stack:
+        x = stack.pop()
+        if _is_probable_prime(x):
+            if x >= _MR_EXACT:
+                raise ScaleError(f"cannot prove the factor {x} of {n} prime: above 3.3*10^24")
+            primes.append(x)
+            continue
+        root = math.isqrt(x)
+        if root * root == x:
+            stack += [root, root]
+            continue
+        c, g = 1, x
+        while g == x:
+            g, used = _rho(x, c, budget)
+            if g is None:
+                raise ScaleError(f"cannot factor {n}: no factor of {x} within {_RHO_STEPS} rho steps")
+            budget -= used
+            c += 1
+        stack += [g, x // g]
+    return sorted((p, primes.count(p)) for p in set(primes))
 
 
 def _as_factored(n) -> FactoredNat:

@@ -8,7 +8,9 @@ prime-by-prime multiplicative strategy are provided and must agree.  The
 multiplicative strategy's local counts lift the common roots mod p along
 a Hensel tree instead of scanning residues.  The local factors of the
 product sums in ``products`` walk the same tree: ``_local_class_sum``
-sums over the classes on which the valuations v_p(g_i(x)) are constant.
+sums over the classes on which the valuations v_p(g_i(x)) are constant,
+cached under the canonical form of the local system that
+``_canonical_local`` gives, so equivalent systems share one walk.
 
 ``poly_values_mod`` is the one per-residue value kernel of the
 definitional scans (the direct root count here and the oracle rows of
@@ -562,17 +564,46 @@ def _unit_slope(h, p: int) -> bool:
     return len(h) > 1 and h[1] % p != 0 and not any(c % p for c in h[2:])
 
 
-# Bounded: one pass of the benchmark's tabulate workload asks for about
-# 1200 distinct keys.
-@lru_cache(maxsize=4096)
-def _local_class_sum(polys_key, p: int, avec: tuple[int, ...], units_only: bool) -> int:
-    """sum over x mod p^max(avec) of prod_i c_{p^a_i}(g_i(x)), a_i = avec[i].
+def _canonical_local(polys_key, p: int, avec: tuple[int, ...]) -> tuple:
+    """The local system at p in canonical form: sorted triples (h, m, a).
 
-    With ``units_only`` the sum runs over the x not divisible by p only;
-    entries a_i = 0 give the factor c_1 = 1.  c_{p^a}(n) is phi(p^a) when
-    p^a divides n, -p^(a-1) when v_p(n) = a - 1 and 0 below, so each factor
-    depends only on min(v_p(g_i(x)), a_i), and the sum walks the classes
-    on which that valuation vector is constant.
+    The local factor at p depends only on the unordered pairs
+    (g_i mod p^a_i, a_i) with a_i >= 1.  So the pairs with a_i = 0 are
+    dropped, each g_i is reduced mod p^a_i and written as p^c h with its
+    content p^c = gcd(p^a_i, coefficients) divided out, as the class walk
+    starts from it: h mod m = p^(a_i - c) without trailing zeros, or
+    ((), 1, a_i) when p^a_i divides every coefficient.  This is one to one
+    on the pairs, and the triples are sorted together, so that permuted
+    systems, g_i shifted by multiples of m_i and moduli 1 share one key.
+    """
+    local = []
+    for g, a in zip(polys_key, avec):
+        if a:
+            c = _strip(g, p**a)
+            if c is None:
+                local.append(((), 1, a))
+            else:
+                h, m = c
+                while not h[-1]:
+                    h.pop()
+                local.append((tuple(h), m, a))
+    local.sort()
+    return tuple(local)
+
+
+# Bounded: one pass of the benchmark's tabulate workload asks for under
+# 600 distinct canonical keys.
+@lru_cache(maxsize=4096)
+def _local_class_sum(local, p: int, units_only: bool) -> int:
+    """sum over x mod p^top of prod_i c_{p^a_i}(g_i(x)), top = max a_i.
+
+    ``local`` is the canonical form from ``_canonical_local`` of the pairs
+    (g_i, a_i) with a_i >= 1; the dropped a_i = 0 give the factor c_1 = 1.
+    With ``units_only`` the sum runs over the x not divisible by p only.
+    c_{p^a}(n) is phi(p^a) when p^a divides n, -p^(a-1) when
+    v_p(n) = a - 1 and 0 below, so each factor depends only on
+    min(v_p(g_i(x)), a_i), and the sum walks the classes on which that
+    valuation vector is constant.
 
     A node is a class x = x0 + p^k t; each open condition carries
     h(t) = g_i(x) / p^c with its content p^c stripped and the remaining
@@ -587,20 +618,19 @@ def _local_class_sum(polys_key, p: int, avec: tuple[int, ...], units_only: bool)
     0 when one condition alone has the largest n and its h has unit slope
     mod p (as below every simple root): h maps each class mod p^(n-1)
     onto one, over which c_{p^a} sums to 0, and the other factors are
-    constant there.  The cost grows with r, the roots and max(avec), not
-    with p^max(avec) or 2^r.
+    constant there.  The cost grows with r, the roots and top, not with
+    p^top or 2^r.
     """
-    weight, conds = 1, []
-    for g, a in zip(polys_key, avec):
-        if a:
-            phi, neg = p**a - p ** (a - 1), -(p ** (a - 1))
-            c = _strip(g, p**a)
-            if c is None:
-                weight *= phi
-            else:
-                conds.append((*c, phi, neg))
+    weight, conds, top = 1, [], 0
+    for h, m, a in local:
+        phi = p**a - p ** (a - 1)
+        if m == 1:
+            weight *= phi
+        else:
+            conds.append((h, m, phi, -(p ** (a - 1))))
+        top = max(top, a)
     total = 0
-    stack = [(conds, max(avec), weight, units_only)]
+    stack = [(conds, top, weight, units_only)]
     while stack:
         conds, k, w, no_zero = stack.pop()
         if not conds:

@@ -11,13 +11,19 @@ integers instead: the values as numerators F(e) = L f(e) over their
 least common denominator L (1 for the c_n kernels), so that
 s L alpha(d) = sum_{e|s} F(e) c_{s/e}(s/d) is an integer sum, and each
 result value costs one division.
+
+The modified orthogonality sum of the paper, generalized to any s-even
+kernels, is ``t_even``: it stays in coefficient space from the analysis
+of each kernel to one final sum, without the transform back to values
+that a chain of ``cauchy_convolve`` calls pays at every step.
+``t_a(strategy="spectral")`` is ``t_even`` on the kernels c_{m_i}.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import as_moduli_tuple, divisors, euler_phi, mobius
+from .arith import as_moduli_tuple, divisors, euler_phi, factorize, mobius
 from .errors import ConsistencyError, DomainError, ScaleError
 from .ramanujan import ramanujan_row, ramanujan_sum
 
@@ -100,9 +106,10 @@ def _numerators(values: dict) -> tuple[int, dict]:
     return den, {d: v.numerator * (den // v.denominator) for d, v in values.items()}
 
 
-def _analysis(s: int, numerators: dict) -> dict:
-    """{d: sum_{e|s} F(e) c_{s/e}(s/d)}, keyed like F = L f by the divisors d of s: s L alpha(d)."""
-    return {d: sum(fe * ramanujan_sum(s // e, s // d) for e, fe in numerators.items() if fe) for d in numerators}
+def _analysis(s: int, numerators: dict, at=None) -> dict:
+    """{d: sum_{e|s} F(e) c_{s/e}(s/d)} for F = L f, at the divisors d in ``at`` (default: all): s L alpha(d)."""
+    terms = [(s // e, fe) for e, fe in numerators.items() if fe]
+    return {d: sum(fe * ramanujan_sum(n, s // d) for n, fe in terms) for d in (numerators if at is None else at)}
 
 
 def _synthesis(coefficients: dict) -> dict:
@@ -172,8 +179,7 @@ def coprime_shift_sum(f: SEvenFunction, a: int) -> Fraction:
     side scans all s residues, so s is capped at 10^6.
     """
     s = f.s
-    if s > _SHIFT_SUM_CAP:
-        raise ScaleError(f"coprime shift sum capped at s <= 10^6, got {s}")
+    _shift_sum_cap(s)
     den, num = _numerators(f.values)
     gcd = math.gcd
     direct = sum(num[gcd((a - k) % s, s)] for k in range(1, s + 1) if gcd(k, s) == 1)
@@ -192,6 +198,53 @@ def coprime_shift_sum(f: SEvenFunction, a: int) -> Fraction:
     return Fraction(direct, den)
 
 
+def _shift_sum_cap(s: int) -> None:
+    if s > _SHIFT_SUM_CAP:
+        raise ScaleError(f"coprime shift sum capped at s <= 10^6, got {s}")
+
+
+def t_even(kernels, a: int) -> Fraction:
+    """The modified orthogonality sum of s-even kernels f_1, ..., f_r with shift a.
+
+    sum over k_1, ..., k_{r-1} mod s and l mod s coprime to s of
+    f_1(k_1) ... f_{r-1}(k_{r-1}) f_r(k_1 + ... + k_{r-1} + l - a).  Since
+    f_r is even, the sum over the k_i is the Cauchy product of all r
+    kernels at a - l, whose coefficients are s^(r-1) prod_i alpha_i, so
+    the coprime shift sum identity gives
+    s^(r-1) sum_{d|s} prod_i alpha_i(d) mu(d) c_d(a) phi(s)/phi(d),
+    in which only squarefree d count.  Computed in coefficient space: one
+    integer analysis A_i = s L_i alpha_i per distinct numerator vector
+    L_i f_i, at the squarefree d only, their pointwise product, and one
+    sum over d divided by s prod_i L_i.  Nothing is transformed back to
+    values.
+    """
+    kernels = tuple(kernels)
+    if not kernels:
+        raise DomainError("at least one kernel required")
+    s = kernels[0].s
+    fs = factorize(s)
+    squarefree = divisors(math.prod(p for p, _ in fs.factors))
+    product = dict.fromkeys(squarefree, 1)
+    den = s
+    analysed = {}
+    for f in kernels:
+        _same_period(kernels[0], f)
+        den_f, num = _numerators(f.values)
+        den *= den_f
+        key = tuple(num.values())  # in divisor order, as every SEvenFunction stores them
+        if key not in analysed:
+            analysed[key] = _analysis(s, num, squarefree)
+        coeffs = analysed[key]
+        for d in squarefree:
+            product[d] *= coeffs[d]
+    phi_s = euler_phi(fs)
+    total = 0
+    for d, v in product.items():
+        if v:
+            total += v * mobius(d) * ramanujan_sum(d, a) * (phi_s // euler_phi(d))
+    return Fraction(total, den)
+
+
 def t_a(moduli, a: int, strategy: str = "closed") -> int:
     """The modified orthogonality sum over r moduli with shift a.
 
@@ -200,9 +253,10 @@ def t_a(moduli, a: int, strategy: str = "closed") -> int:
     coprime to m.  It vanishes unless m_1 = ... = m_r = m, where it equals
     m^(r-1) mu(m) c_m(a).
 
-    Strategies: "closed" applies that evaluation; "spectral" convolves the
-    c_{m_i} as m-even functions and applies the coprime shift sum;
-    "direct" iterates the defining grid (scale-capped).  All agree.
+    Strategies: "closed" applies that evaluation; "spectral" is ``t_even``
+    on the c_{m_i} as m-even functions, from the analysis of their values
+    (capped at m <= 10^6, as the coprime shift sum is); "direct" iterates
+    the defining grid (scale-capped).  All agree.
     """
     mt = as_moduli_tuple(moduli)
     m = mt.lcm.value
@@ -212,10 +266,9 @@ def t_a(moduli, a: int, strategy: str = "closed") -> int:
             return m ** (r - 1) * mobius(mt.lcm) * ramanujan_sum(m, a)
         return 0
     if strategy == "spectral":
-        kernel = ramanujan_even(mt.moduli[0], m)
-        for mi in mt.moduli[1:]:
-            kernel = cauchy_convolve(kernel, ramanujan_even(mi, m))
-        val = coprime_shift_sum(kernel, a)
+        _shift_sum_cap(m)
+        kernels = {mi: ramanujan_even(mi, m) for mi in set(mt.moduli)}
+        val = t_even([kernels[mi] for mi in mt.moduli], a)
         if val.denominator != 1:
             raise ConsistencyError(f"non-integer T value {val}")
         return int(val)

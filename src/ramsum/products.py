@@ -46,6 +46,7 @@ from .arith import (
 )
 from .congruences import (
     IntPolynomial,
+    _canonical_local,
     _local_class_sum,
     _local_root_count,
     _residue_product,
@@ -127,11 +128,13 @@ def r_g_direct(system, moduli) -> int:
 def _class_product(key, mt, coprime: bool) -> int:
     """The product over the primes p of m of the local class sums.
 
-    The full-range sum divides each by p^max(avec), an exact division.
+    Each is looked up under its canonical local key, so equivalent
+    systems share one walk.  The full-range sum divides each by
+    p^max(avec), an exact division.
     """
     out = 1
     for p, avec in mt.profile:
-        local = _local_class_sum(key, p, avec, coprime)
+        local = _local_class_sum(_canonical_local(key, p, avec), p, coprime)
         if not coprime:
             local, rem = divmod(local, p ** max(avec))
             if rem:

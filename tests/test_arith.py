@@ -1,13 +1,17 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsum import (
     DomainError,
     FactoredNat,
+    ScaleError,
     brauer_rademacher_sides,
     coprime_count_in_class,
     crt_solve,
@@ -55,6 +59,60 @@ def test_factorize_reconstructs(n):
         prod *= p**e
     assert prod == n == fn.value
     assert all(fn.factors[i][0] < fn.factors[i + 1][0] for i in range(len(fn.factors) - 1))
+
+
+_BIG = 2**20  # the trial-division bound of factorize
+
+
+@st.composite
+def _factor_products(draw):
+    # small factors, factors just past the trial bound and up to 2^34, and at most one prime up to 10^20
+    n = draw(st.integers(1, 10**6))
+    for _ in range(draw(st.integers(0, 3))):
+        n *= sympy.nextprime(draw(st.integers(_BIG - 100, 2**34))) ** draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        n *= sympy.nextprime(draw(st.integers(_BIG, 10**20)))
+    return n
+
+
+@given(_factor_products())
+@settings(max_examples=60, deadline=None)
+def test_factorize_matches_sympy(n):
+    assert dict(factorize(n).factors) == sympy.factorint(n)
+
+
+def test_factorize_around_the_trial_bound():
+    below, above = sympy.prevprime(_BIG), sympy.nextprime(_BIG)
+    for n in (below, above, below**2, above**2, above**3, below * above, above * sympy.nextprime(above), 2**89 - 2):
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+def test_factorize_raises_scale_error_past_its_budget():
+    # a probable prime above 3.3 * 10^24, which Miller-Rabin on 13 bases cannot prove
+    with pytest.raises(ScaleError, match="cannot prove"):
+        factorize(sympy.nextprime(10**25))
+    # two 60-bit primes: rho would need about 2^30 steps
+    with pytest.raises(ScaleError, match="rho steps"):
+        factorize(sympy.nextprime(2**60) * sympy.nextprime(2**61))
+
+
+def _ramsum(*argv):
+    return subprocess.run([sys.executable, "-m", "ramsum", *argv], capture_output=True, text=True, timeout=10)
+
+
+def test_large_moduli_end_in_bounded_time():
+    # 1000000016000000063 = 1000000007 * 1000000009, past trial division to its square root
+    done = _ramsum("c", "--moduli", "1000000016000000063", "--a", "4")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+    done = _ramsum("c", "--moduli", str(sympy.nextprime(10**25)), "--a", "1")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("ramsum: scale error: cannot prove the factor ")
+    # two 60-bit primes exhaust the rho budget well inside the timeout
+    n = sympy.nextprime(2**60) * sympy.nextprime(2**61)
+    done = _ramsum("c", "--moduli", str(n), "--a", "1")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith(f"ramsum: scale error: cannot factor {n}: ")
+    assert done.stderr.rstrip().endswith(" rho steps")
 
 
 def test_divisors_examples():

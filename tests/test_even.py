@@ -28,6 +28,7 @@ from ramsum import (
     ramanujan_sum,
     s_even,
     t_a,
+    t_even,
 )
 
 
@@ -272,3 +273,56 @@ def test_s_even_transforms_equal_their_defining_sums(case):
     assert conv.values == want_conv == cauchy_convolve_naive(f, g).values
     units = [k for k in range(1, s + 1) if math.gcd(k, s) == 1]
     assert coprime_shift_sum(f, a) == sum(fv[math.gcd((a - k) % s, s)] for k in units)
+
+
+@st.composite
+def _t_even_cases(draw):
+    # 1-4 kernels of one period s <= 30, drawn from a pool so that some repeat
+    s = draw(st.integers(1, 30))
+    rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    pool = [s_even(s, {d: draw(rationals) for d in divisors(s)}) for _ in range(draw(st.integers(1, 3)))]
+    kernels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    return s, kernels, draw(st.integers(-40, 40))
+
+
+def _t_grid(s, kernels, a):
+    """sum over k_1..k_{r-1} mod s and units l mod s of f_1(k_1)...f_{r-1}(k_{r-1}) f_r(k_1+...+k_{r-1}+l-a)."""
+    *firsts, last = [[f(k) for k in range(s)] for f in kernels]
+    units = [l for l in range(s) if math.gcd(l, s) == 1]
+    tail = [sum(last[(t + l - a) % s] for l in units) for t in range(s)]
+    total = Fraction(0)
+    for ks in product(range(s), repeat=len(firsts)):
+        c = Fraction(1)
+        for row, k in zip(firsts, ks):
+            c *= row[k]
+        if c:
+            total += c * tail[sum(ks) % s]
+    return total
+
+
+@given(_t_even_cases())
+@settings(max_examples=60, deadline=None)
+def test_t_even_equals_its_grid_and_the_convolution_chain(case):
+    s, kernels, a = case
+    value = t_even(kernels, a)
+    assert value == _t_grid(s, kernels, a)
+    chain = kernels[0]
+    for f in kernels[1:]:
+        chain = cauchy_convolve_naive(chain, f)
+    assert value == coprime_shift_sum(chain, a)
+
+
+def test_t_even_rejects_mixed_periods():
+    with pytest.raises(DomainError):
+        t_even([ramanujan_even(2, 4), ramanujan_even(3)], 0)
+    with pytest.raises(DomainError):
+        t_even([], 0)
+
+
+def test_t_even_kernels_with_equal_numerators():
+    # f and f / 2 have the same numerators over different common denominators: one analysis
+    f = s_even(6, {1: 1, 2: 3, 3: -1, 6: 2})
+    g = s_even(6, {d: v / 2 for d, v in f.values.items()})
+    for kernels in ([f, g], [g, f, f], [g, g, f]):
+        for a in (0, 1, 5):
+            assert t_even(kernels, a) == _t_grid(6, kernels, a), (kernels, a)

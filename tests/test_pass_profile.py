@@ -12,5 +12,18 @@ def test_pass_profile_prints_each_kind_and_checks_the_digest():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].endswith("outputs match the recorded digest"), lines[0]
-    rows = {line.split()[0]: int(line.split()[1]) for line in lines[2:]}
+    head = next(i for i, line in enumerate(lines) if line.startswith("cache "))
+    rows = {line.split()[0]: int(line.split()[1]) for line in lines[2:head]}
     assert rows == {"e_g_fast": 16, "r_g_fast": 16, "count_roots": 8, "pass": 40}
+
+
+def test_pass_profile_prints_cache_hits_and_misses():
+    # tabulate seed 1, one pass: 571 class walks for 1847 local factors
+    argv = [sys.executable, str(_TOOL), "--workload", "tabulate", "--seed", "1", "--passes", "1"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("cache "))
+    rows = {line.split()[0]: tuple(map(int, line.split()[1:])) for line in lines[head + 1 :]}
+    assert rows["congruences._local_class_sum"] == (1276, 571)
+    assert "arith.factorize" in rows and "products._poly_c_values" in rows

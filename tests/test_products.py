@@ -2,7 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +35,7 @@ from ramsum import (
     r_shift,
     ramanujan_sum,
 )
+from ramsum.congruences import _canonical_local, _local_class_sum
 from ramsum.products import _convolve, _poly_convolve
 
 CORPUS = ("x", "x-1", "x-2", "x+1", "x^2-1", "x^2+x+1", "2x-1")
@@ -379,6 +380,78 @@ def test_class_walk_equals_direct_oracles(case):
     assert math.lcm(*moduli) <= 10**4
     assert e_g_fast(polys, moduli) == e_g_direct(polys, moduli)
     assert r_g_fast(polys, moduli) == r_g_direct(polys, moduli)
+
+
+def test_canonical_local_keys():
+    # pairs with a = 0 dropped, coefficients reduced mod p^a (3 + 4x is 3 mod 4) with their
+    # content divided out (2 + 6x mod 8 is 2 (1 + 3x), 4 + 8x mod 4 is 0), triples sorted together
+    key = ((1, 1), (0, 1), (5, 2, 4), (3, 4), (2, 6), (4, 8))
+    assert _canonical_local(key, 2, (1, 2, 0, 2, 3, 2)) == (
+        ((), 1, 2), ((0, 1), 4, 2), ((1, 1), 2, 1), ((1, 3), 4, 3), ((3,), 4, 2)
+    )
+    assert _canonical_local(key, 3, (0, 0, 1, 0, 0, 0)) == (((2, 2, 1), 3, 1),)
+    # x + 2 and x agree mod 2, not mod 4: sum c_4(x) c_4(x + 2) = -8, sum c_4(x)^2 = 8
+    assert e_g_fast(("x", "x"), (4, 4)) == 2
+    assert e_g_fast(("x", "x+2"), (4, 4)) == -2
+    # (x, 4), (x + 1, 2) and (x + 1, 4), (x, 2) are different systems
+    for polys, moduli in ((("x", "x+1"), (4, 2)), (("x+1", "x"), (4, 2))):
+        assert e_g_fast(polys, moduli) == e_g_direct(polys, moduli)
+        assert r_g_fast(polys, moduli) == r_g_direct(polys, moduli)
+
+
+def _plus_multiple(g, m, h):
+    """The polynomial g + m * h, with h given by its coefficients."""
+    coeffs = [u + m * v for u, v in zip_longest(g.coeffs, h, fillvalue=0)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return IntPolynomial(tuple(coeffs))
+
+
+@given(_systems(4), st.randoms(use_true_random=False), st.lists(st.lists(st.integers(-3, 3), max_size=3), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_equivalent_systems_share_one_local_walk(case, rnd, hs):
+    # permuted pairs, g_i + m_i h_i and an appended modulus 1 give the same local systems
+    polys, moduli = case
+    e, r = e_g_fast(polys, moduli), r_g_fast(polys, moduli)
+    walks = _local_class_sum.cache_info().misses
+    order = list(range(len(polys)))
+    rnd.shuffle(order)
+    variants = (
+        (tuple(polys[i] for i in order), tuple(moduli[i] for i in order)),
+        (tuple(_plus_multiple(g, m, h) for g, m, h in zip(polys, moduli, hs)), moduli),
+        (polys + (parse_polynomial(rnd.choice(_SPECIAL)),), moduli + (1,)),
+    )
+    for variant in variants:
+        assert (e_g_fast(*variant), r_g_fast(*variant)) == (e, r), variant
+    assert _local_class_sum.cache_info().misses == walks
+    for variant in ((polys, moduli),) + variants:
+        assert (e_g_direct(*variant), r_g_direct(*variant)) == (e, r), variant
+        assert (_poly_convolve(*variant, False), _poly_convolve(*variant, True)) == (e, r), variant
+
+
+@given(
+    st.lists(st.tuples(st.integers(-20, 20), st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 27))), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_equivalent_shift_systems_share_one_local_walk(pairs, rnd, ts):
+    shifts, moduli = map(tuple, zip(*pairs))
+    e, r = e_shift(shifts, moduli), r_shift(shifts, moduli)
+    walks = _local_class_sum.cache_info().misses
+    order = list(range(len(shifts)))
+    rnd.shuffle(order)
+    variants = (
+        (tuple(shifts[i] for i in order), tuple(moduli[i] for i in order)),
+        (tuple(a + m * t for a, m, t in zip(shifts, moduli, ts)), moduli),
+        (shifts + (rnd.randint(-20, 20),), moduli + (1,)),
+    )
+    for variant in variants:
+        assert (e_shift(*variant), r_shift(*variant)) == (e, r), variant
+    assert _local_class_sum.cache_info().misses == walks
+    for a, mods in ((shifts, moduli),) + variants:
+        assert (_poly_convolve(shift_polys(a), mods, False), _poly_convolve(shift_polys(a), mods, True)) == (e, r)
+        assert (e_g_direct(linear_system(a), mods), r_g_direct(linear_system(a), mods)) == (e, r)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ runs them in passes in this process the way ``perfbench/run.py`` does
 (every ramsum ``lru_cache`` cleared before each pass, calls bound through
 ``workloads.bind``) and prints, per kind, the evaluations per pass and
 the median over the passes of their summed time, then the median pass.
-A CLI evaluation's kind carries its subcommand (``cli T``).  Times are
+A CLI evaluation's kind carries its subcommand (``cli T``).  Then it
+prints every ramsum ``lru_cache``'s hits and misses in one pass (the
+last; each pass starts from empty caches).  Times are
 raw ``perf_counter`` seconds, not scaled by the benchmark's speed probe,
 so compare two trees only from runs made back to back.  Each pass's
 output digest is checked against ``perfbench/digests.json`` when the seed
@@ -36,7 +38,8 @@ def kind_of(kind, args):
 
 
 def profile(workload, seed, passes):
-    """Per pass: ({kind: seconds}, pass seconds, digest or None when an evaluation raised)."""
+    """The evaluations; per pass ({kind: seconds}, pass seconds, digest or None when an
+    evaluation raised); and each cache's (hits, misses) in the last pass."""
     rs = run.import_ramsum()
     caches = run.lru_caches(rs)
     evals = workloads.generate(workload, seed)
@@ -59,7 +62,8 @@ def profile(workload, seed, passes):
             outputs.append(result)
         total = clock() - start
         out.append((per_kind, total, None if failed else workloads.digest(outputs)))
-    return evals, out
+    stats = {name: cache.cache_info()[:2] for name, cache in caches.items()}
+    return evals, out, stats
 
 
 def main(argv=None):
@@ -71,7 +75,7 @@ def main(argv=None):
     if args.passes < 1:
         ap.error("--passes must be >= 1")
 
-    evals, passes = profile(args.workload, args.seed, args.passes)
+    evals, passes, stats = profile(args.workload, args.seed, args.passes)
     counts = {}
     for kind, eargs in evals:
         key = kind_of(kind, eargs)
@@ -93,6 +97,9 @@ def main(argv=None):
     for seconds, key in rows:
         print(f"{key:<22}{counts[key]:>9}{seconds * 1e3:>12.3f}")
     print(f"{'pass':<22}{len(evals):>9}{statistics.median(p[1] for p in passes) * 1e3:>12.3f}")
+    print(f"{'cache':<36}{'hits':>9}{'misses':>9}")
+    for name, (hits, misses) in sorted(stats.items()):
+        print(f"{name:<36}{hits:>9}{misses:>9}")
     return 0 if ok else 1
 
 
