@@ -253,13 +253,13 @@ class ModuliTuple:
 
 def moduli_tuple(moduli) -> ModuliTuple:
     """Build a :class:`ModuliTuple` from a sequence of positive integers."""
-    ms = tuple(int(m) for m in moduli)
+    ms = tuple(map(int, moduli))
     if not ms:
         raise DomainError("at least one modulus required")
-    if any(m < 1 for m in ms):
+    if min(ms) < 1:
         raise DomainError(f"moduli must be positive, got {ms}")
     flcm = factorize(math.lcm(*ms))
-    profile = tuple((p, tuple(_valuation(m, p) for m in ms)) for p, _ in flcm.factors)
+    profile = tuple([(p, tuple([_valuation(m, p) for m in ms])) for p, _ in flcm.factors])
     return ModuliTuple(ms, flcm, profile)
 
 

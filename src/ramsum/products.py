@@ -70,14 +70,14 @@ def _poly_c_values(coeffs: tuple[int, ...], m: int):
 
     The row of c_m is indexed by the values g(x) mod m from
     ``poly_values_mod``; for a monic linear x + b that index sequence is
-    b, b+1, ..., so the row is the rotation of c_m's row by b mod m.
+    b, b+1, ..., so the row is the rotation of c_m's row by b mod m, and
+    its max abs is c_m(0) = phi(m), since |c_m(n)| <= phi(m).
     """
     row = ramanujan_row(m)
     if len(coeffs) == 2 and coeffs[1] == 1:
         b = coeffs[0] % m
-        vals = row[b:] + row[:b]
-    else:
-        vals = tuple(map(row.__getitem__, poly_values_mod(IntPolynomial(coeffs), m)))
+        return row[b:] + row[:b], row[0]
+    vals = tuple(map(row.__getitem__, poly_values_mod(IntPolynomial(coeffs), m)))
     return vals, max(1, max(map(abs, vals)))
 
 
@@ -85,8 +85,8 @@ def _product_sum(system, mt, coprime_only: bool) -> int:
     """sum over residues k mod m of prod_i c_{m_i}(g_i(k)), exactly.
 
     The cached rows c_{m_i}(g_i(x)), x mod m_i, are multiplied term by
-    term in unbounded Python integers, as one lazy chain that cycles each
-    row only to the period of the product so far (``_residue_product``).
+    term in unbounded Python integers, as one lazy chain that cycles the
+    product so far only when a row grows its period (``_residue_product``).
     """
     terms = _residue_product(
         [_poly_c_values(g.coeffs, mi)[0] for g, mi in zip(system.polys, mt.moduli)]

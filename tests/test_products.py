@@ -12,6 +12,7 @@ from ramsum import (
     DomainError,
     IntPolynomial,
     ScaleError,
+    count_roots,
     dedekind_psi,
     distinct_prime_count,
     divisors,
@@ -51,17 +52,58 @@ def shift_polys(shifts):
 
 
 def test_poly_c_values_on_linears_is_the_definition():
-    # monic linears take the rotation of c_m's row; 2x + b (2x - 1 at b = -1)
-    # and -x + b take the forward differences
+    # monic linears take the rotation of c_m's row, whose max abs is c_m(0) = phi(m);
+    # 2x + b (2x - 1 at b = -1), -x + b and the quadratics x^2 - 1, x^2 + x + 1
+    # take the forward differences
     from ramsum.products import _poly_c_values
 
-    for b in (0, 1, -1, 5, -13, 10**60 + 3, -(10**100) - 11):
-        for coeffs in ((b, 1), (b, 2), (b, -1)):
-            for m in (1, 2, 4, 6, 9, 12, 30, 97):
-                vals, vmax = _poly_c_values(coeffs, m)
-                want = tuple(ramanujan_sum(m, coeffs[0] + coeffs[1] * x) for x in range(m))
-                assert vals == want, (coeffs, m)
-                assert vmax == max(1, max(map(abs, want)))
+    linears = [(b, a) for b in (0, 1, -1, 5, -13, 10**60 + 3, -(10**100) - 11) for a in (1, 2, -1)]
+    for coeffs in linears + [(-1, 0, 1), (1, 1, 1)]:
+        for m in (1, 2, 4, 6, 9, 12, 30, 97):
+            vals, vmax = _poly_c_values(coeffs, m)
+            want = tuple(ramanujan_sum(m, poly_eval_mod(IntPolynomial(coeffs), x, m)) for x in range(m))
+            assert vals == want, (coeffs, m)
+            assert vmax == max(1, max(map(abs, want)))
+            if coeffs[1:] == (1,):
+                assert vmax == euler_phi(m)
+
+
+def _plain_loop(polys, moduli):
+    """E_G, R_G and the root counts (all, units only), by one loop over k mod m."""
+    m = math.lcm(*moduli)
+    full = units = roots = unit_roots = 0
+    for k in range(m):
+        values = [poly_eval_mod(g, k, mi) for g, mi in zip(polys, moduli)]
+        term = math.prod(ramanujan_sum(mi, v) for mi, v in zip(moduli, values))
+        root = not any(values)
+        full += term
+        roots += root
+        if math.gcd(k, m) == 1:
+            units += term
+            unit_roots += root
+    return full // m, units, roots, unit_roots
+
+
+# Divisors of 60 and 7: rows that equal the period of the product so far,
+# divide it or grow it, drawn in any order.
+_PERIODS = (1, 2, 3, 4, 5, 6, 7, 10, 12, 15, 20, 30, 60)
+_POLYS = st.one_of(
+    st.integers(-70, 70).map(lambda b: IntPolynomial((b, 1))),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(lambda c: IntPolynomial(tuple(c) + (1,))),
+    st.sampled_from(CORPUS).map(parse_polynomial),
+)
+
+
+@given(st.lists(st.tuples(_POLYS, st.sampled_from(_PERIODS)), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_direct_routes_equal_a_plain_residue_loop(pairs):
+    # the direct routes share _residue_product; this loop shares nothing with them
+    polys, moduli = map(tuple, zip(*pairs))
+    full, units, roots, unit_roots = _plain_loop(polys, moduli)
+    assert e_g_direct(polys, moduli) == full
+    assert r_g_direct(polys, moduli) == units
+    assert count_roots(polys, moduli, strategy="direct").count == roots
+    assert count_roots(polys, moduli, units_only=True, strategy="direct").count == unit_roots
 
 
 def test_e_g_known_values():
