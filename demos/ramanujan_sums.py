@@ -9,19 +9,19 @@ primitive roots of unity.
 from ramsum import (
     euler_phi,
     mobius,
+    ramanujan_row,
     ramanujan_sum,
     ramanujan_sum_exponential,
-    ramanujan_table,
 )
 
 
 def print_table(n_max=10):
-    table = ramanujan_table(n_max)
     width = 4
     head = "n\\k " + "".join(f"{k:>{width}}" for k in range(1, n_max + 1))
     print(head)
     for n in range(1, n_max + 1):
-        row = table.row(n)
+        row = ramanujan_row(n)
+        row = row[1:] + row[:1]  # c_n(1), ..., c_n(n)
         print(f"{n:>3} " + "".join(f"{v:>{width}}" for v in row) + f"{'':>{(n_max - n) * width}}")
 
 

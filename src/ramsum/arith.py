@@ -39,9 +39,6 @@ class FactoredNat:
         if acc != self.value:
             raise DomainError(f"factor product {acc} does not reconstruct {self.value}")
 
-    def __int__(self) -> int:
-        return self.value
-
 
 # Increments of the mod-30 wheel, starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)

@@ -51,12 +51,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 def linear_shift_poly(a: int) -> IntPolynomial:
     """The polynomial x - a."""

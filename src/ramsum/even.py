@@ -16,12 +16,14 @@ The modified orthogonality sum of the paper, generalized to any s-even
 kernels, is ``t_even``: it stays in coefficient space from the analysis
 of each kernel to one final sum, without the transform back to values
 that a chain of ``cauchy_convolve`` calls pays at every step.
-``t_a(strategy="spectral")`` is ``t_even`` on the kernels c_{m_i}.
+``t_a(strategy="spectral")`` is ``t_even`` on the kernels c_{m_i}, and
+the spectral side of ``coprime_shift_sum`` is ``t_even`` of its one kernel.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as cartesian
 
 from .arith import as_moduli_tuple, divisors, euler_phi, factorize, mobius
 from .errors import ConsistencyError, DomainError, ScaleError
@@ -79,25 +81,12 @@ class FourierCoefficients:
         object.__setattr__(self, "alpha", _as_fractions(self.s, self.alpha, "coefficients"))
 
 
-def s_even(s: int, values) -> SEvenFunction:
-    return SEvenFunction(s, dict(values))
-
-
-def constant_even(s: int, value) -> SEvenFunction:
-    return SEvenFunction(s, {d: Fraction(value) for d in divisors(s)})
-
-
 def ramanujan_even(n: int, s: int | None = None) -> SEvenFunction:
     """c_n viewed as an s-even function for any multiple s of n (default n)."""
     s = n if s is None else s
     if s % n:
         raise DomainError(f"{n} does not divide the requested period {s}")
     return SEvenFunction(s, {d: ramanujan_sum(n, d) for d in divisors(s)})
-
-
-def evaluate(f: SEvenFunction, n: int) -> Fraction:
-    """f(n) = f(gcd(n mod s, s)), with gcd(0, s) = s."""
-    return f(n)
 
 
 def _numerators(values: dict) -> tuple[int, dict]:
@@ -122,12 +111,6 @@ def fourier_coefficients(f: SEvenFunction) -> FourierCoefficients:
     den, num = _numerators(f.values)
     sl = f.s * den
     return FourierCoefficients(f.s, {d: Fraction(a, sl) for d, a in _analysis(f.s, num).items()})
-
-
-def from_fourier(coeffs: FourierCoefficients) -> SEvenFunction:
-    """The s-even function f(n) = sum_{d|s} alpha(d) c_d(n)."""
-    den, num = _numerators(coeffs.alpha)
-    return SEvenFunction(coeffs.s, {e: Fraction(v, den) for e, v in _synthesis(num).items()})
 
 
 def _same_period(f: SEvenFunction, g: SEvenFunction) -> int:
@@ -171,31 +154,20 @@ def coprime_shift_sum(f: SEvenFunction, a: int) -> Fraction:
     """sum_{k <= s, gcd(k, s) = 1} f(a - k).
 
     Computed both directly and through the coefficient identity
-    phi(s) * sum_{d|s} alpha(d) mu(d) c_d(a) / phi(d); the two sides must
-    agree exactly.  Both run in integers over the values' common
-    denominator L: the direct side sums L f(a - k) over the units k, the
-    spectral side sums s L alpha(d) mu(d) c_d(a) phi(s)/phi(d) (phi(d)
-    divides phi(s)), which must be s times the direct sum.  The direct
-    side scans all s residues, so s is capped at 10^6.
+    phi(s) * sum_{d|s} alpha(d) mu(d) c_d(a) / phi(d), which is
+    ``t_even((f,), a)``; the two sides must agree exactly.  The direct
+    side sums L f(a - k) over the units k in integers, L the values'
+    common denominator.  It scans all s residues, so s is capped at 10^6.
     """
     s = f.s
     _shift_sum_cap(s)
     den, num = _numerators(f.values)
     gcd = math.gcd
-    direct = sum(num[gcd((a - k) % s, s)] for k in range(1, s + 1) if gcd(k, s) == 1)
-    phi_s = euler_phi(s)
-    spectral = 0
-    for d, alpha in _analysis(s, num).items():
-        if alpha:
-            w = mobius(d)
-            if w:
-                spectral += alpha * w * ramanujan_sum(d, a) * (phi_s // euler_phi(d))
-    if spectral != s * direct:
-        raise ConsistencyError(
-            f"coprime shift sum mismatch for s={s}, a={a}: "
-            f"{Fraction(direct, den)} != {Fraction(spectral, s * den)}"
-        )
-    return Fraction(direct, den)
+    direct = Fraction(sum(num[gcd((a - k) % s, s)] for k in range(1, s + 1) if gcd(k, s) == 1), den)
+    spectral = t_even((f,), a)
+    if spectral != direct:
+        raise ConsistencyError(f"coprime shift sum mismatch for s={s}, a={a}: {direct} != {spectral}")
+    return direct
 
 
 def _shift_sum_cap(s: int) -> None:
@@ -279,8 +251,6 @@ def t_a(moduli, a: int, strategy: str = "closed") -> int:
         last, m_last = rows[-1], mt.moduli[-1]
         units = [l for l in range(m) if math.gcd(l, m) == 1]
         total = 0
-        from itertools import product as cartesian
-
         for kvec in cartesian(range(m), repeat=r - 1):
             c = 1
             for row, mi, k in zip(rows, mt.moduli, kvec):

@@ -267,15 +267,6 @@ def r_shift(shifts, moduli) -> int:
     return _class_product(*_shift_args(shifts, moduli), True)
 
 
-def r_func(moduli) -> int:
-    """R(m_1, ..., m_r): the coprime product sum with every shift equal to 1.
-
-    All values are nonnegative.
-    """
-    mt = as_moduli_tuple(moduli)
-    return r_shift((1,) * len(mt), mt)
-
-
 # ---------------------------------------------------------------------------
 # prime-power closed form and the normalized diagonal function
 

@@ -7,7 +7,6 @@ cross-validation oracle and never feeds any exact result.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import _valuation, divisors, euler_phi, factorize, mobius
@@ -61,8 +60,7 @@ def ramanujan_row(n: int) -> tuple[int, ...]:
         w = mobius(n // d)
         if w:
             wd = w * d
-            for idx in range(0, n, d):
-                row[idx] += wd
+            row[::d] = [v + wd for v in row[::d]]
     return tuple(row)
 
 
@@ -80,32 +78,3 @@ def ramanujan_sum_exponential(n: int, k: int) -> float:
     return math.fsum(
         math.cos(2.0 * math.pi * (j * k % n) / n) for j in range(1, n + 1) if math.gcd(j, n) == 1
     )
-
-
-@dataclass(frozen=True)
-class RamanujanTable:
-    """Rows (c_n(1), ..., c_n(n)) for every n up to ``n_max``."""
-
-    n_max: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if not 1 <= n <= self.n_max:
-            raise DomainError(f"n={n} outside table range 1..{self.n_max}")
-        return self.rows[n - 1]
-
-    def value(self, n: int, k: int) -> int:
-        return self.row(n)[(k - 1) % n]
-
-
-def ramanujan_table(n_max: int) -> RamanujanTable:
-    """Complete table of c_n(k) for n <= n_max, 1 <= k <= n."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be positive, got {n_max}")
-    if n_max > 4000:
-        raise ScaleError(f"table construction capped at n_max <= 4000, got {n_max}")
-    rows = []
-    for n in range(1, n_max + 1):
-        row = ramanujan_row(n)
-        rows.append(row[1:] + (row[0],))
-    return RamanujanTable(n_max, tuple(rows))

@@ -30,7 +30,7 @@ from .arith import (
 )
 from .asymptotics import asymptotic_report, dirichlet_decomposition_check
 from .congruences import as_poly_system, count_roots
-from .even import coprime_shift_sum, ramanujan_even, s_even, t_a
+from .even import SEvenFunction, coprime_shift_sum, ramanujan_even, t_a
 from .errors import DomainError
 from .products import (
     _poly_convolve,
@@ -359,13 +359,7 @@ def _suite_identities(max_n: int):
                 coprime_shift_sum(f, a)  # raises on two-sided mismatch
         for _ in range(200):
             s = rng.randint(1, 40)
-            f = s_even(
-                s,
-                {
-                    d: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                    for d in divisors(s)
-                },
-            )
+            f = SEvenFunction(s, {d: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in divisors(s)})
             coprime_shift_sum(f, rng.randint(-20, 20))
         return True
 

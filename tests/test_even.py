@@ -8,28 +8,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramsum.even
 from ramsum import (
+    ConsistencyError,
     DomainError,
     FourierCoefficients,
     ScaleError,
     SEvenFunction,
     cauchy_convolve,
     cauchy_convolve_naive,
-    constant_even,
     coprime_shift_sum,
     divisors,
     euler_phi,
-    evaluate,
     fourier_coefficients,
-    from_fourier,
     mobius,
     ramanujan_even,
     ramanujan_row,
     ramanujan_sum,
-    s_even,
     t_a,
     t_even,
 )
+
+
+def _constant(s, value):
+    return SEvenFunction(s, dict.fromkeys(divisors(s), value))
+
+
+def _synthesis(s, alpha):
+    # f(e) = sum_{d|s} alpha(d) c_d(e)
+    return {e: Fraction(sum(alpha[d] * _c(d, e) for d in divisors(s))) for e in divisors(s)}
 
 
 def test_evaluate_goes_through_gcd():
@@ -37,12 +44,12 @@ def test_evaluate_goes_through_gcd():
     assert f(4) == ramanujan_sum(6, 2) == -1
     assert f(6) == f(0) == euler_phi(6)
     assert f(-1) == f(5) == f(11)
-    assert evaluate(constant_even(10, 1), 123) == 1
+    assert _constant(10, 1)(123) == 1
 
 
 def test_values_must_cover_divisors():
     with pytest.raises(DomainError):
-        s_even(6, {1: 1, 2: 0, 3: 0})
+        SEvenFunction(6, {1: 1, 2: 0, 3: 0})
     with pytest.raises(DomainError):
         ramanujan_even(6, 9)
 
@@ -56,7 +63,7 @@ def test_fourier_of_ramanujan_kernel_is_indicator():
 
 
 def test_fourier_of_constant_function():
-    alpha = fourier_coefficients(constant_even(12, 1)).alpha
+    alpha = fourier_coefficients(_constant(12, 1)).alpha
     assert alpha[1] == 1
     assert all(alpha[d] == 0 for d in divisors(12) if d > 1)
 
@@ -65,11 +72,10 @@ def test_fourier_roundtrip_exhaustive_small():
     rng = random.Random(61)
     for s in range(1, 37):
         values = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for d in divisors(s)}
-        f = s_even(s, values)
-        back = from_fourier(fourier_coefficients(f))
-        assert back.values == f.values
-        again = fourier_coefficients(back)
-        assert again.alpha == fourier_coefficients(f).alpha
+        f = SEvenFunction(s, values)
+        back = _synthesis(s, fourier_coefficients(f).alpha)
+        assert back == f.values
+        assert fourier_coefficients(SEvenFunction(s, back)).alpha == fourier_coefficients(f).alpha
 
 
 @given(
@@ -82,18 +88,8 @@ def test_fourier_roundtrip_random(s, data):
         d: data.draw(st.fractions(min_value=-10, max_value=10, max_denominator=9))
         for d in divisors(s)
     }
-    f = s_even(s, values)
-    assert from_fourier(fourier_coefficients(f)).values == f.values
-
-
-def test_from_fourier_indicator_gives_kernel():
-    s = 12
-    coeffs = fourier_coefficients(ramanujan_even(s))
-    assert from_fourier(coeffs).values == ramanujan_even(s).values
-    zero = from_fourier(
-        fourier_coefficients(s_even(s, {d: 0 for d in divisors(s)}))
-    )
-    assert all(v == 0 for v in zero.values.values())
+    f = SEvenFunction(s, values)
+    assert _synthesis(s, fourier_coefficients(f).alpha) == f.values
 
 
 def test_cauchy_known_values():
@@ -108,7 +104,7 @@ def test_cauchy_known_values():
 
 def test_cauchy_zero_absorbs():
     f = ramanujan_even(9)
-    zero = constant_even(9, 0)
+    zero = _constant(9, 0)
     assert all(v == 0 for v in cauchy_convolve_naive(f, zero).values.values())
 
 
@@ -116,8 +112,8 @@ def test_cauchy_strategies_agree():
     rng = random.Random(67)
     for _ in range(60):
         s = rng.randint(1, 60)
-        f = s_even(s, {d: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for d in divisors(s)})
-        g = s_even(s, {d: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for d in divisors(s)})
+        f = SEvenFunction(s, {d: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for d in divisors(s)})
+        g = SEvenFunction(s, {d: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for d in divisors(s)})
         assert cauchy_convolve_naive(f, g).values == cauchy_convolve(f, g).values
 
 
@@ -131,7 +127,7 @@ def test_coprime_shift_sum_known_values():
     assert coprime_shift_sum(ramanujan_even(6), 0) == 2
     assert coprime_shift_sum(ramanujan_even(4), 1) == 0
     for s in (1, 2, 7, 12):
-        assert coprime_shift_sum(constant_even(s, 1), 5) == euler_phi(s)
+        assert coprime_shift_sum(_constant(s, 1), 5) == euler_phi(s)
 
 
 def test_coprime_shift_sum_on_ramanujan_kernels_both_orientations():
@@ -228,8 +224,17 @@ def test_consistency_error_is_not_raised_for_valid_functions():
     rng = random.Random(73)
     for _ in range(100):
         s = rng.randint(1, 40)
-        f = s_even(s, {d: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in divisors(s)})
-        coprime_shift_sum(f, rng.randint(-20, 20))
+        f = SEvenFunction(s, {d: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in divisors(s)})
+        a = rng.randint(-20, 20)
+        assert t_even((f,), a) == coprime_shift_sum(f, a)
+
+
+def test_coprime_shift_sum_raises_when_its_spectral_side_differs(monkeypatch):
+    t_even_orig = ramsum.even.t_even
+    monkeypatch.setattr(ramsum.even, "t_even", lambda kernels, a: t_even_orig(kernels, a) + 1)
+    for f in (ramanujan_even(12), _constant(7, Fraction(2, 3))):
+        with pytest.raises(ConsistencyError):
+            coprime_shift_sum(f, 5)
 
 
 def test_constructors_copy_the_callers_mapping():
@@ -262,12 +267,12 @@ def test_s_even_transforms_equal_their_defining_sums(case):
     # each transform against a Fraction evaluation of its defining formula
     s, fv, gv, a = case
     divs = divisors(s)
-    f, g = s_even(s, fv), s_even(s, gv)
+    f, g = SEvenFunction(s, fv), SEvenFunction(s, gv)
     want_alpha = {d: sum(fv[e] * _c(s // e, s // d) for e in divs) / s for d in divs}
     assert fourier_coefficients(f).alpha == want_alpha
     beta = fourier_coefficients(g).alpha
     want_back = {e: Fraction(sum(want_alpha[d] * _c(d, e) for d in divs)) for e in divs}
-    assert from_fourier(FourierCoefficients(s, want_alpha)).values == want_back == fv
+    assert want_back == fv
     want_conv = {e: Fraction(sum(s * want_alpha[d] * beta[d] * _c(d, e) for d in divs)) for e in divs}
     conv = cauchy_convolve(f, g)
     assert conv.values == want_conv == cauchy_convolve_naive(f, g).values
@@ -280,7 +285,7 @@ def _t_even_cases(draw):
     # 1-4 kernels of one period s <= 30, drawn from a pool so that some repeat
     s = draw(st.integers(1, 30))
     rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
-    pool = [s_even(s, {d: draw(rationals) for d in divisors(s)}) for _ in range(draw(st.integers(1, 3)))]
+    pool = [SEvenFunction(s, {d: draw(rationals) for d in divisors(s)}) for _ in range(draw(st.integers(1, 3)))]
     kernels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
     return s, kernels, draw(st.integers(-40, 40))
 
@@ -321,8 +326,8 @@ def test_t_even_rejects_mixed_periods():
 
 def test_t_even_kernels_with_equal_numerators():
     # f and f / 2 have the same numerators over different common denominators: one analysis
-    f = s_even(6, {1: 1, 2: 3, 3: -1, 6: 2})
-    g = s_even(6, {d: v / 2 for d, v in f.values.items()})
+    f = SEvenFunction(6, {1: 1, 2: 3, 3: -1, 6: 2})
+    g = SEvenFunction(6, {d: v / 2 for d, v in f.values.items()})
     for kernels in ([f, g], [g, f, f], [g, g, f]):
         for a in (0, 1, 5):
             assert t_even(kernels, a) == _t_grid(6, kernels, a), (kernels, a)

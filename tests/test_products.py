@@ -29,7 +29,6 @@ from ramsum import (
     parse_polynomial,
     poly_eval_mod,
     prime_power_profile,
-    r_func,
     r_g_direct,
     r_g_fast,
     r_prime_power,
@@ -557,23 +556,28 @@ def test_sixty_four_shifts_in_bounded_time(m):
     assert time.perf_counter() - t0 < 1.0
 
 
+def _r_func(moduli):
+    # the paper's R(m_1, ..., m_r): every shift equal to 1
+    return r_shift((1,) * len(moduli), moduli)
+
+
 def test_r_func_known_values():
-    assert r_func((3, 3)) == 5
-    assert r_func((4, 4)) == 8
-    assert r_func((3, 3, 3)) == 7
-    assert r_func((1,)) == 1
+    assert _r_func((3, 3)) == 5
+    assert _r_func((4, 4)) == 8
+    assert _r_func((3, 3, 3)) == 7
+    assert _r_func((1,)) == 1
 
 
 def test_r_func_nonnegative_and_matches_oracle():
     for ms in product(range(1, 9), repeat=2):
-        val = r_func(ms)
+        val = _r_func(ms)
         assert val >= 0
         assert val == r_g_direct(("x-1", "x-1"), ms)
     rng = random.Random(59)
     for _ in range(100):
         r = rng.randint(1, 4)
         ms = tuple(rng.randint(1, 12) for _ in range(r))
-        val = r_func(ms)
+        val = _r_func(ms)
         assert val >= 0
         assert val == r_g_direct(("x-1",) * r, ms)
 

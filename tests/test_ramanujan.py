@@ -13,7 +13,6 @@ from ramsum import (
     ramanujan_sum,
     ramanujan_sum_exponential,
     ramanujan_sum_totient_form,
-    ramanujan_table,
 )
 
 
@@ -80,25 +79,18 @@ def test_special_arguments():
         assert ramanujan_sum(n, n) == euler_phi(n)
 
 
-def test_row_and_table():
+def test_row_matches_divisor_sum():
     assert ramanujan_row(6) == (2, 1, -1, -2, -1, 1)
-    table = ramanujan_table(6)
-    assert table.row(1) == (1,)
-    assert table.row(6) == (1, -1, -2, -1, 1, 2)
-    assert table.value(6, 13) == ramanujan_sum(6, 13)
+    # 19746 = 2 * 3^2 * 1097, 30030 squarefree with six primes, 65536 = 2^16
+    for n in (1, 6, 19746, 30030, 65536):
+        assert ramanujan_row(n) == tuple(ramanujan_sum(n, k) for k in range(n)), n
 
 
 def test_table_row_invariants():
-    table = ramanujan_table(300)
     for n in range(1, 301):
-        row = table.row(n)
+        row = ramanujan_row(n)
         assert sum(row) == (1 if n == 1 else 0)
-        assert row[n - 1] == euler_phi(n)
-
-
-def test_table_scale_guard():
-    with pytest.raises(ScaleError):
-        ramanujan_table(4001)
+        assert row[0] == euler_phi(n)
 
 
 def test_exponential_oracle_examples():
