@@ -10,15 +10,19 @@ and verifies the underlying convolution identity g_r = F_r * id_{r-1}.
 The exact work is done in integers.  A smallest-prime-factor pass builds
 R(m) = m g_r(m) for every m <= x, for the sieve of g_r and the check of
 the convolution identity, R(m) = sum_{d|m} (d F_r(d)) (m/d)^r.  The
+smallest-prime-factor table is a 2-byte array that holds only the primes
+up to sqrt(x), and the prime sieve stores odd numbers only.  The
 partial sum splits on the largest prime factor: with s = isqrt(x), it
 sieves R only at the s-smooth m and adds their D g_r(m), integers for D
 the product of the primes up to s; every other m is k p with one prime
 p > s and k <= s, and each such p adds x_r(p)/p times a prefix sum of
 g_r in one division by p.  The residues mod the large primes are added
-by a product tree (binary splitting) into a single Fraction.
+by a product tree (binary splitting) into a single Fraction, which is
+reduced by a gcd with D alone.
 """
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +36,14 @@ from .products import h_value, x_r_value
 _SIEVE_CAP = 10**6
 _DIRICHLET_CAP = 10**4
 _PRIME_BOUND_CAP = 10**7
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+
+    def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+        """numerator/denominator, for coprime ints with denominator > 0, with no gcd."""
+        return Fraction(numerator, denominator, _normalize=False)
 
 
 @dataclass(frozen=True)
@@ -54,20 +66,29 @@ def euler_factor_data(r: int, p: int) -> EulerFactorData:
     if r < 2:
         raise DomainError(f"r must be >= 2, got {r}")
     xr = x_r_value(r, p)
-    a = Fraction(xr, p) - p ** (r - 1)
+    a = Fraction(xr - p**r, p)
     b = Fraction(p ** (r - 1) * (p - 1) * h_value(r, p) - p ** (r - 2) * xr)
     return EulerFactorData(p, xr, a, b)
 
 
 def _primes_upto(bound: int) -> list[int]:
+    """The primes p <= bound, ascending.
+
+    The sieve holds the odd numbers only, byte i for 2i + 1, so it takes
+    about bound/2 bytes; an odd prime q strikes q^2, q^2 + 2q, ..., at
+    bytes (q^2 - 1)/2 + k q.
+    """
     if bound < 2:
         return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
+    half = (bound + 1) // 2
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
         if sieve[i]:
-            sieve[i * i :: i] = bytes((bound - i * i) // i + 1)
-    return list(compress(range(bound + 1), sieve))
+            q = 2 * i + 1
+            start = q * q // 2
+            sieve[start::q] = bytes((half - 1 - start) // q + 1)
+    return [2, *compress(range(1, bound + 1, 2), sieve)]
 
 
 def euler_factor(r: int, p: int) -> float:
@@ -99,9 +120,9 @@ def alpha_r(r: int, prime_bound: int) -> float:
     p(p-1)h_r(p) - x_r(p) = (-1)^r.  So the partial products decrease to
     alpha_r, and for every r >= 2 the truncation error satisfies
     0 <= alpha_r(r, P) - alpha_r < alpha_r(r, P) * (r + 1)/P, from the
-    tail sum of (r + 1)/n^2 over n > P.  The prime sieve takes
-    prime_bound bytes, so prime_bound is capped at 10^7.  Each product is
-    kept, a float per (r, prime_bound), since reports repeat them.
+    tail sum of (r + 1)/n^2 over n > P.  The odd-only prime sieve takes
+    prime_bound/2 bytes, and prime_bound is capped at 10^7.  Each product
+    is kept, a float per (r, prime_bound), since reports repeat them.
     """
     _check_alpha_args(r, prime_bound)
     out = 1.0
@@ -110,34 +131,40 @@ def alpha_r(r: int, prime_bound: int) -> float:
     return out
 
 
-def _spf_table(x: int) -> list[int]:
-    """Smallest prime factor for every integer up to x.
+def _spf_table(x: int) -> array:
+    """Smallest prime factor of every composite m <= x, and 0 elsewhere.
 
-    Primes are laid down from the largest to the smallest, so a smaller
-    prime overwrites a larger one on their common multiples.
+    An unsigned 2-byte array over 0..x: spf[m] is the smallest prime
+    factor of m for composite m, and 0 for m = 0, 1 and every prime, so
+    ``spf[m] or m`` is the smallest prime factor of each m >= 2.  Only the
+    primes up to sqrt(x) are laid down, each from p^2 on and from the
+    largest to the smallest, so a smaller prime overwrites a larger one on
+    their common multiples.  Entries are at most sqrt(x), so x < 2^32.
     """
-    spf = list(range(x + 1))
+    spf = array("H", bytes(2 * (x + 1)))
     for p in reversed(_primes_upto(math.isqrt(x))):
-        spf[p * p :: p] = [p] * len(range(p * p, x + 1, p))
+        spf[p * p :: p] = array("H", [p]) * len(range(p * p, x + 1, p))
     return spf
 
 
-def _multiplicative_ints(spf: list[int], at_p, at_p2, step, indices) -> list[int]:
+def _multiplicative_ints(spf: array, at_p, at_p2, step, indices) -> list[int]:
     """Integer values of a multiplicative f at 1 and at the given m >= 2.
 
     Returns a list over 0..x (x = len(spf) - 1) that is 0 off those m.
     f is given by its values f(p) = at_p[p] and f(p^2) = at_p2[p] and by
     f(p^(e+1)) = step[p] f(p^e) for e >= 2; at_p2 and step are only read
     at primes p <= sqrt(x).  One pass over the increasing indices, with
-    p = spf[m]: f(m) = f(m/p) f(p) when p divides m once, f(m/p^2) f(p^2)
-    when twice, and f(m/p) step[p] when at least three times.  So m/p and
-    m/p^2 must be indices (or 1) whenever m is, as they are for all of
-    2..x and for the m with no prime factor above a given bound.
+    p = spf[m] or m, the smallest prime factor in the convention of
+    ``_spf_table``: f(m) = f(m/p) f(p) when p divides m once,
+    f(m/p^2) f(p^2) when twice, and f(m/p) step[p] when at least three
+    times.  So m/p and m/p^2 must be indices (or 1) whenever m is, as they
+    are for all of 2..x and for the m with no prime factor above a given
+    bound.
     """
     out = [0] * len(spf)
     out[1] = 1
     for m in indices:
-        p = spf[m]
+        p = spf[m] or m
         n = m // p
         if n % p:
             out[m] = out[n] * at_p[p]
@@ -161,8 +188,8 @@ def _r_locals(r: int, primes: list[int], bound: int) -> tuple[dict, dict, dict]:
     return at_p, at_p2, {p: p**r for p in small}
 
 
-def _r_sieve(r: int, x: int) -> tuple[list[int], list[int]]:
-    """spf and R(m) = m g_r(m) for every m <= x, both as integer lists."""
+def _r_sieve(r: int, x: int) -> tuple[array, list[int]]:
+    """The ``_spf_table`` of x and R(m) = m g_r(m) for every m <= x."""
     spf = _spf_table(x)
     local = _r_locals(r, _primes_upto(x), math.isqrt(x))
     return spf, _multiplicative_ints(spf, *local, range(2, x + 1))
@@ -199,9 +226,10 @@ def dirichlet_decomposition_check(r: int, m_bound: int) -> bool:
     F_r(p^k) = 0 for k >= 3.  The identity is checked in integers, times
     m: R(m) = m g_r(m) from the sieve against
     sum_{d|m} (d F_r(d)) (m/d)^r, where d F_r(d) is multiplicative with
-    p a_r at p, p^2 b_r at p^2 (both from ``euler_factor_data``) and 0
-    on cubes.  Returns False on any mismatch, including a d F_r(d) that
-    is not an integer.
+    p a_r at p, p^2 b_r at p^2 (both from ``euler_factor_data``, each an
+    integer division of p or p^2 times the numerator by the denominator)
+    and 0 on cubes.  Returns False on any mismatch, including a d F_r(d)
+    that is not an integer.
     """
     if r < 2:
         raise DomainError(f"r must be >= 2, got {r}")
@@ -214,10 +242,10 @@ def dirichlet_decomposition_check(r: int, m_bound: int) -> bool:
     at_p, at_p2 = {}, {}
     for p in _primes_upto(m_bound):
         data = euler_factor_data(r, p)
-        fp, fp2 = p * data.a_r, p * p * data.b_r
-        if fp.denominator != 1 or fp2.denominator != 1:
+        at_p[p], rem = divmod(p * data.a_r.numerator, data.a_r.denominator)
+        at_p2[p], rem2 = divmod(p * p * data.b_r.numerator, data.b_r.denominator)
+        if rem or rem2:
             return False
-        at_p[p], at_p2[p] = fp.numerator, fp2.numerator
     d_f = _multiplicative_ints(spf, at_p, at_p2, dict.fromkeys(at_p2, 0), range(2, m_bound + 1))
     powers = [k**r for k in range(m_bound + 1)]
     conv = [0] * (m_bound + 1)
@@ -285,9 +313,19 @@ def g_r_partial_sum(r: int, x: int) -> Fraction:
     D, the product of the primes p <= s, and D g_r(m) = R(m) D // m is an
     integer; R is sieved at the smooth m only, since m/p of a smooth m is
     smooth.  Each large prime adds one divmod of x_r(p) N(x // p) by p,
-    with N = D S: the quotient goes to a running integer and the residue
+    with N = D S: the quotient goes to a running integer W and the residue
     c_p/p to a product tree (binary splitting) that sums them into one
-    fraction, divided by D at the end.
+    fraction C/P, P the product of the large p with c_p != 0, and the sum
+    is (W P + C)/(D P).
+
+    That fraction is reduced by a gcd with D alone.  W P + C is prime to
+    P: for each such p, C is c_p (P/p) plus a multiple of p, and neither
+    0 < c_p < p nor P/p has the factor p.  D and P are coprime, since
+    their primes lie on either side of s, so g = gcd(W P + C, D P) is
+    gcd((W P + C) mod D, D), and ((W P + C)/g)/((D/g) P) is in lowest
+    terms.  It is built without the gcd of a Fraction over the whole
+    numerator and denominator, whose denominator has about 1.4 million
+    bits at x = 10^6.
     """
     _check_sieve_args(r, x)
     s = math.isqrt(x)
@@ -313,4 +351,6 @@ def g_r_partial_sum(r: int, x: int) -> Fraction:
         if c:
             terms.append((c, p))
     num, den = _sum_by_product_tree(terms)
-    return Fraction(whole * den + num, d * den)
+    total = whole * den + num
+    g = math.gcd(total % d, d)
+    return _coprime_fraction(total // g, d // g * den)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from ramsum import (
     x_r_value,
 )
 from ramsum import asymptotics
-from ramsum.asymptotics import _primes_upto
+from ramsum.asymptotics import _primes_upto, _spf_table
 
 
 def test_single_factor_value():
@@ -188,6 +189,64 @@ def test_partial_sum_equals_prefix_sums():
             assert g_r_partial_sum(r, x) == total, (r, x)
 
 
+def _assert_reduced_sieve_sum(r, x):
+    # Fraction.__eq__ compares the stored numerator and denominator, so an
+    # unreduced partial sum fails the equality as well as the gcd
+    total = g_r_partial_sum(r, x)
+    assert math.gcd(total.numerator, total.denominator) == 1, (r, x)
+    assert total == sum(g_r_sieve(r, x)), (r, x)
+
+
+def test_partial_sum_is_reduced_and_equals_sieve_sum():
+    for r in (2, 3, 4):
+        for x in range(1, 301):
+            _assert_reduced_sieve_sum(r, x)
+
+
+# isqrt(x) steps from s - 1 to s between s^2 - 1 and s^2, so the smooth
+# bound D and the set of large primes change there
+@pytest.mark.parametrize("s", [10, 31, 100])
+def test_partial_sum_is_reduced_across_square_boundaries(s):
+    for x in (s * s - 1, s * s, s * s + 1):
+        for r in (2, 3, 4):
+            _assert_reduced_sieve_sum(r, x)
+
+
+def test_partial_sum_is_reduced_near_benchmark_size():
+    _assert_reduced_sieve_sum(2, 30011)
+
+
+def _trial_division_primes(bound):
+    return [n for n in range(2, bound + 1) if all(n % q for q in range(2, math.isqrt(n) + 1))]
+
+
+def test_primes_upto_equals_trial_division():
+    reference = _trial_division_primes(2000)
+    for bound in range(-1, 2001):
+        assert _primes_upto(bound) == [p for p in reference if p <= bound], bound
+
+
+@pytest.mark.parametrize("bound", [10**5, 10**6 + 3])
+def test_primes_upto_equals_sympy(bound):
+    sympy = pytest.importorskip("sympy")
+    assert _primes_upto(bound) == list(sympy.primerange(bound + 1))
+
+
+def _smallest_factor(m):
+    return next(q for q in range(2, m + 1) if m % q == 0)
+
+
+def test_spf_table_convention():
+    # the smallest prime factor at composite m and 0 at 0, 1 and the primes,
+    # in 2-byte entries; the layout depends on isqrt(x), so x varies too
+    for x in (0, 1, 2, 3, 4, 8, 9, 10, 48, 49, 50, 3000):
+        spf = _spf_table(x)
+        assert spf.itemsize == 2 and len(spf) == x + 1, x
+        for m in range(x + 1):
+            q = 0 if m < 2 else _smallest_factor(m)
+            assert spf[m] == (0 if q == m else q), (x, m)
+
+
 def _decomposition_sum(r, x):
     """sum_{d<=x} F_r(d) S_{r-1}(x // d), F_r from the Euler factor data."""
     power_sums = [0] * (x + 1)
@@ -224,6 +283,20 @@ def test_dirichlet_check_sees_one_corrupted_prime(monkeypatch, p, field):
         if q != p:
             return data
         return dataclasses.replace(data, **{field: getattr(data, field) + 1})
+
+    monkeypatch.setattr(asymptotics, "euler_factor_data", corrupted)
+    assert not dirichlet_decomposition_check(2, 200)
+
+
+# each delta leaves p a_r or p^2 b_r short of an integer, where the floor
+# of the division alone would match
+@pytest.mark.parametrize("p, field, delta", [(3, "a_r", Fraction(1, 9)), (7, "b_r", Fraction(1, 7**3))])
+def test_dirichlet_check_sees_a_non_integer_local_value(monkeypatch, p, field, delta):
+    exact = asymptotics.euler_factor_data
+
+    def corrupted(r, q):
+        data = exact(r, q)
+        return dataclasses.replace(data, **{field: getattr(data, field) + delta}) if q == p else data
 
     monkeypatch.setattr(asymptotics, "euler_factor_data", corrupted)
     assert not dirichlet_decomposition_check(2, 200)

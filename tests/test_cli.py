@@ -412,13 +412,36 @@ def test_asymptotic_formats(capsys):
     assert Fraction(int(num), int(den)) == g_r_partial_sum(2, 50)
 
 
-def test_asymptotic_beyond_digit_limit_is_scale_error(capsys):
-    code, out, err = run_main(capsys, "asymptotic", "--r", "2", "--x", "12000")
-    assert code == 3 and out == ""
-    assert err.count("\n") == 1
-    assert "scale error" in err and "4300-digit" in err
-    code, out, err = run_main(capsys, "asymptotic", "--r", "2", "--x", "12000", "--format", "json")
-    assert code == 3 and err == ""
-    payload = json.loads(out)
-    assert payload["error"]["type"] == "scale"
-    assert "4300-digit" in payload["error"]["message"]
+def _lifted_digit_limit(func, *args):
+    # run func with the int/str digit limit off, then restore it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return func(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_asymptotic_beyond_digit_limit_prints_exact_fraction(capsys):
+    from fractions import Fraction
+
+    from ramsum import g_r_partial_sum
+
+    want = g_r_partial_sum(2, 13000)
+    limit = sys.get_int_max_str_digits()
+    # both parts of the fraction pass the limit the CLI runs under
+    assert min(want.numerator, want.denominator).bit_length() > limit * 3.33
+    code, out, err = run_main(capsys, "asymptotic", "--r", "2", "--x", "13000")
+    assert code == 0 and err == ""
+    (line,) = [row for row in out.splitlines() if row.startswith("empirical=")]
+    assert _lifted_digit_limit(Fraction, line.removeprefix("empirical=")) == want
+    code, out, err = run_main(capsys, "asymptotic", "--r", "2", "--x", "13000", "--format", "json")
+    assert code == 0 and err == ""
+    assert _lifted_digit_limit(Fraction, json.loads(out)["empirical"]) == want
+
+
+@pytest.mark.parametrize("k", [0, 1, 511, 512, 513, 1024, 5000, 20000])
+def test_decimal_equals_str(k):
+    # zeros on either side of every split must survive the zero padding
+    for n in (10**k, 10**k - 1, 10**k + 1, 7 * 10**k // 3):
+        assert cli._decimal(n) == _lifted_digit_limit(str, n), (k, n)
