@@ -6,13 +6,15 @@ divisor convolution) agreeing, then prints the closed-form tables for the
 quadratic x^2 - 1 and for linear shift systems.
 """
 
+import math
+
 from ramsum import (
     count_roots,
-    dedekind_psi,
     e_g_direct,
     e_g_fast,
     e_shift,
-    is_squarefree,
+    factorize,
+    mobius,
     r_g_direct,
     r_g_fast,
     r_shift,
@@ -52,13 +54,18 @@ def root_counts():
         print(f"  x^2 = 1 mod {n:>2}: {full.count} solutions, {units.count} unit solutions")
 
 
+def dedekind_psi(m):
+    """psi(m) = m * prod_{p|m} (1 + 1/p)."""
+    return math.prod(p ** (e - 1) * (p + 1) for p, e in factorize(m).factors)
+
+
 def shift_rules(n_max=20):
     print("\nadjacent shifts (a, a+1), equal moduli:")
     print("  nonzero iff m is squarefree, value (-1)^omega(m); unit shifts give psi")
     for m in range(1, n_max + 1):
         e = e_shift((0, 1), (m, m))
         r = r_shift((1, 2), (m, m))
-        tag = "squarefree" if is_squarefree(m) else "has square"
+        tag = "squarefree" if mobius(m) else "has square"
         print(f"  m={m:>2} ({tag:>10}): mean={e:+d}  unit-sum={r:+d}  psi(m)={dedekind_psi(m)}")
 
 

@@ -10,23 +10,15 @@ in the exponential-sum cross-check and in final asymptotic reports.
 from .arith import (
     FactoredNat,
     ModuliTuple,
-    as_moduli_tuple,
-    brauer_rademacher_sides,
-    coprime_count_in_class,
-    crt_solve,
-    dedekind_psi,
-    distinct_prime_count,
     divisors,
     euler_phi,
     factorize,
-    is_squarefree,
     mobius,
     moduli_tuple,
     multiplicative_eval,
 )
 from .asymptotics import (
     AsymptoticReport,
-    EulerFactorData,
     alpha_r,
     asymptotic_report,
     dirichlet_decomposition_check,
@@ -59,13 +51,11 @@ from .even import (
     t_even,
 )
 from .products import (
-    PrimePowerProfile,
     e_g_direct,
     e_g_fast,
     e_shift,
     g_r_value,
     h_value,
-    prime_power_profile,
     r_g_direct,
     r_g_fast,
     r_prime_power,
@@ -85,31 +75,23 @@ __all__ = [
     "AsymptoticReport",
     "ConsistencyError",
     "DomainError",
-    "EulerFactorData",
     "FactoredNat",
     "FourierCoefficients",
     "IntPolynomial",
     "ModuliTuple",
     "PolySystem",
     "PolynomialSyntaxError",
-    "PrimePowerProfile",
     "RootCount",
     "SEvenFunction",
     "ScaleError",
     "alpha_r",
-    "as_moduli_tuple",
     "as_poly_system",
     "asymptotic_report",
-    "brauer_rademacher_sides",
     "cauchy_convolve",
     "cauchy_convolve_naive",
-    "coprime_count_in_class",
     "coprime_shift_sum",
     "count_roots",
-    "crt_solve",
-    "dedekind_psi",
     "dirichlet_decomposition_check",
-    "distinct_prime_count",
     "divisors",
     "e_g_direct",
     "e_g_fast",
@@ -123,7 +105,6 @@ __all__ = [
     "g_r_sieve",
     "g_r_value",
     "h_value",
-    "is_squarefree",
     "linear_shift_poly",
     "mobius",
     "moduli_tuple",
@@ -131,7 +112,6 @@ __all__ = [
     "parse_polynomial",
     "poly_eval_mod",
     "poly_values_mod",
-    "prime_power_profile",
     "r_g_direct",
     "r_g_fast",
     "r_prime_power",

@@ -1,15 +1,12 @@
 """Exact integer number theory primitives.
 
-Factorization, the classical multiplicative functions, CRT for arbitrary
-(not necessarily coprime) moduli, and a generic evaluator for
-multiplicative functions of several variables.  Everything is exact:
-unbounded Python integers throughout, `fractions.Fraction` wherever a
-value is not guaranteed to be an integer.
+Factorization, divisors, mu and phi, moduli tuples with their prime
+profiles, and a generic evaluator for multiplicative functions of several
+variables.  Everything is exact, in unbounded Python integers.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, ScaleError
@@ -214,24 +211,6 @@ def euler_phi(n) -> int:
     return out
 
 
-def dedekind_psi(n) -> int:
-    """psi(n) = n * prod_{p|n} (1 + 1/p), computed exactly."""
-    fn = _as_factored(n)
-    out = 1
-    for p, e in fn.factors:
-        out *= p ** (e - 1) * (p + 1)
-    return out
-
-
-def distinct_prime_count(n) -> int:
-    """omega(n), the number of distinct prime factors."""
-    return len(_as_factored(n).factors)
-
-
-def is_squarefree(n) -> bool:
-    return all(e == 1 for _, e in _as_factored(n).factors)
-
-
 @dataclass(frozen=True)
 class ModuliTuple:
     """An ordered tuple of positive moduli with its lcm and prime profile.
@@ -260,7 +239,7 @@ def moduli_tuple(moduli) -> ModuliTuple:
     return ModuliTuple(ms, flcm, profile)
 
 
-def as_moduli_tuple(moduli) -> ModuliTuple:
+def _as_moduli_tuple(moduli) -> ModuliTuple:
     return moduli if isinstance(moduli, ModuliTuple) else moduli_tuple(moduli)
 
 
@@ -273,65 +252,8 @@ def multiplicative_eval(local_rule, moduli):
     over the primes of lcm(moduli); for the all-ones tuple the empty
     product gives 1.
     """
-    mt = as_moduli_tuple(moduli)
+    mt = _as_moduli_tuple(moduli)
     out = 1
     for p, evec in mt.profile:
         out = out * local_rule(p, evec)
     return out
-
-
-def crt_solve(congruences):
-    """Solve the simultaneous congruences x = a_i (mod d_i).
-
-    Returns ``(x, L)`` with ``0 <= x < L = lcm(d_1, ..., d_r)`` when the
-    system is solvable, i.e. gcd(d_i, d_j) divides a_i - a_j for every
-    pair; returns ``None`` otherwise.
-    """
-    x, lcm = 0, 1
-    for a, d in congruences:
-        if d < 1:
-            raise DomainError(f"modulus must be positive, got {d}")
-        g = math.gcd(lcm, d)
-        if (a - x) % g:
-            return None
-        dd = d // g
-        if dd > 1:
-            t = ((a - x) // g) * pow((lcm // g) % dd, -1, dd) % dd
-            x += lcm * t
-        lcm *= dd
-        x %= lcm
-    return x, lcm
-
-
-def coprime_count_in_class(n: int, d: int, x: int) -> int:
-    """Count k <= n with k = x (mod d) and gcd(k, n) = 1.
-
-    Requires d | n, 1 <= x <= d and gcd(x, d) = 1; the result always
-    equals phi(n)/phi(d).
-    """
-    if n < 1 or d < 1 or n % d:
-        raise DomainError(f"need d | n, got n={n}, d={d}")
-    if not 1 <= x <= d or math.gcd(x, d) != 1:
-        raise DomainError(f"need 1 <= x <= d with gcd(x, d) = 1, got x={x}, d={d}")
-    if n > 10**7:
-        raise ScaleError(f"direct residue-class scan capped at n <= 10^7, got {n}")
-    return sum(1 for k in range(x, n + 1, d) if math.gcd(k, n) == 1)
-
-
-def brauer_rademacher_sides(n: int, k: int) -> tuple[Fraction, Fraction]:
-    """Both sides of sum_{d|n, gcd(d,k)=1} d*mu(n/d)/phi(d) = mu(n)c_n(k)/phi(n).
-
-    Returns ``(lhs, rhs)`` as exact fractions; the two are always equal.
-    """
-    if n < 1 or k < 1:
-        raise DomainError("n and k must be positive")
-    from .ramanujan import ramanujan_sum
-
-    lhs = Fraction(0)
-    for d in divisors(n):
-        if math.gcd(d, k) == 1:
-            w = mobius(n // d)
-            if w:
-                lhs += Fraction(d * w, euler_phi(d))
-    rhs = Fraction(mobius(n) * ramanujan_sum(n, k), euler_phi(n))
-    return lhs, rhs

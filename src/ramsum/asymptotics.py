@@ -31,7 +31,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import floordiv, mul
 
 from .errors import DomainError, ScaleError
-from .products import h_value, x_r_value
+from .products import _r_local, x_r_value
 
 _SIEVE_CAP = 10**6
 _DIRICHLET_CAP = 10**4
@@ -46,29 +46,20 @@ else:
         return Fraction(numerator, denominator, _normalize=False)
 
 
-@dataclass(frozen=True)
-class EulerFactorData:
-    """Exact ingredients of the local Euler factor at p.
+def euler_factor_data(r: int, p: int) -> tuple[int, int]:
+    """(x_r(p) - p^r, (-1)^r p^r): the values of d F_r(d) at d = p and p^2.
 
-    a_r = x_r(p)/p - p^(r-1) and b_r = p^(r-1)(p-1)h_r(p) - p^(r-2)x_r(p)
-    are the degree-1 and degree-2 coefficients of the non-zeta part of the
-    generating Dirichlet series; g_r(p) = p^(r-1) + a_r and
-    g_r(p^2) = p^(2r-2) + a_r p^(r-1) + b_r.
+    F_r is multiplicative with g_r = F_r * id_{r-1}, so with A and B the
+    two values, p g_r(p) = p^r + A and p^2 g_r(p^2) = p^(2r) + A p^r + B.
+    So A = R(p) - p^r = x_r(p) - p^r, and B = R(p^2) - p^r x_r(p) =
+    p^r (p(p-1)h_r(p) - x_r(p)), where p(p-1)h_r(p) - x_r(p) = (-1)^r.
     """
-
-    p: int
-    x_r: int
-    a_r: Fraction
-    b_r: Fraction
-
-
-def euler_factor_data(r: int, p: int) -> EulerFactorData:
     if r < 2:
         raise DomainError(f"r must be >= 2, got {r}")
-    xr = x_r_value(r, p)
-    a = Fraction(xr - p**r, p)
-    b = Fraction(p ** (r - 1) * (p - 1) * h_value(r, p) - p ** (r - 2) * xr)
-    return EulerFactorData(p, xr, a, b)
+    if p < 2:
+        raise DomainError(f"p must be >= 2, got {p}")
+    pr = p**r
+    return x_r_value(r, p) - pr, (-1) ** r * pr
 
 
 def _primes_upto(bound: int) -> list[int]:
@@ -92,11 +83,13 @@ def _primes_upto(bound: int) -> list[int]:
 
 
 def euler_factor(r: int, p: int) -> float:
-    """1 + (x_r(p) - p^r)/p^(r+1) + (p(p-1)h_r(p) - x_r(p))/p^(r+2).
+    """1 + A/p^(r+1) + B/p^(2r+2) for (A, B) = ``euler_factor_data(r, p)``.
 
-    Evaluated in double precision from the exact integer numerator, whose
-    last term is (-1)^r (see ``alpha_r``).
+    Evaluated in double precision from the exact integer numerator
+    p^(r+2) + p A + (-1)^r, since B = (-1)^r p^r; the pair is not built here.
     """
+    if p < 2:
+        raise DomainError(f"p must be >= 2, got {p}")
     pr = p**r
     den = pr * p * p
     return (den + p * (x_r_value(r, p) - pr) + (-1) ** r) / den
@@ -181,10 +174,12 @@ def _r_locals(r: int, primes: list[int], bound: int) -> tuple[dict, dict, dict]:
     R is multiplicative with R(p) = x_r(p) and, for e >= 2,
     R(p^e) = p^e p^((e-1)(r-1)) (p-1) h_r(p), so R(p^(e+1)) = p^r R(p^e).
     R(p) is given at every p in primes, the other two at p <= bound.
+    R(p^2) comes from ``products._r_local``; R(p) is its e = 1 case,
+    x_r(p), called directly so that no tuple is built per prime.
     """
     small = primes[: bisect_right(primes, bound)]
     at_p = {p: x_r_value(r, p) for p in primes}
-    at_p2 = {p: p ** (r + 1) * (p - 1) * h_value(r, p) for p in small}
+    at_p2 = {p: _r_local(p, (2,) * r) for p in small}
     return at_p, at_p2, {p: p**r for p in small}
 
 
@@ -222,14 +217,11 @@ def g_r_sieve(r: int, x: int) -> list[Fraction]:
 def dirichlet_decomposition_check(r: int, m_bound: int) -> bool:
     """Verify g_r(m) = sum_{d|m} F_r(d) (m/d)^(r-1) exactly for m <= m_bound.
 
-    F_r is multiplicative with F_r(p) = a_r(p), F_r(p^2) = b_r(p) and
-    F_r(p^k) = 0 for k >= 3.  The identity is checked in integers, times
-    m: R(m) = m g_r(m) from the sieve against
+    F_r is multiplicative and vanishes on cubes.  The identity is checked
+    in integers, times m: R(m) = m g_r(m) from the sieve against
     sum_{d|m} (d F_r(d)) (m/d)^r, where d F_r(d) is multiplicative with
-    p a_r at p, p^2 b_r at p^2 (both from ``euler_factor_data``, each an
-    integer division of p or p^2 times the numerator by the denominator)
-    and 0 on cubes.  Returns False on any mismatch, including a d F_r(d)
-    that is not an integer.
+    the integer values of ``euler_factor_data`` at p and p^2, closed forms
+    that do not read the sieve's h_r(p).  Returns False on any mismatch.
     """
     if r < 2:
         raise DomainError(f"r must be >= 2, got {r}")
@@ -241,11 +233,7 @@ def dirichlet_decomposition_check(r: int, m_bound: int) -> bool:
     spf, big_r = _r_sieve(r, m_bound)
     at_p, at_p2 = {}, {}
     for p in _primes_upto(m_bound):
-        data = euler_factor_data(r, p)
-        at_p[p], rem = divmod(p * data.a_r.numerator, data.a_r.denominator)
-        at_p2[p], rem2 = divmod(p * p * data.b_r.numerator, data.b_r.denominator)
-        if rem or rem2:
-            return False
+        at_p[p], at_p2[p] = euler_factor_data(r, p)
     d_f = _multiplicative_ints(spf, at_p, at_p2, dict.fromkeys(at_p2, 0), range(2, m_bound + 1))
     powers = [k**r for k in range(m_bound + 1)]
     conv = [0] * (m_bound + 1)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, compress, cycle, islice, repeat
 from operator import mod, mul
 
-from .arith import ModuliTuple, as_moduli_tuple
+from .arith import ModuliTuple, _as_moduli_tuple
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
 
 _DIRECT_SCAN_CAP = 10**6
@@ -86,7 +86,7 @@ def as_poly_system(system) -> PolySystem:
 def as_system_and_moduli(system, moduli) -> tuple[PolySystem, ModuliTuple]:
     """Coerce a system and its moduli, one modulus per polynomial."""
     sys_ = as_poly_system(system)
-    mt = as_moduli_tuple(moduli)
+    mt = _as_moduli_tuple(moduli)
     if len(sys_) != len(mt):
         raise DomainError(f"{len(sys_)} polynomials but {len(mt)} moduli")
     return sys_, mt

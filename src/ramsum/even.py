@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
 
-from .arith import as_moduli_tuple, divisors, euler_phi, factorize, mobius
+from .arith import _as_moduli_tuple, divisors, euler_phi, factorize, mobius
 from .errors import ConsistencyError, DomainError, ScaleError
 from .ramanujan import ramanujan_row, ramanujan_sum
 
@@ -230,7 +230,7 @@ def t_a(moduli, a: int, strategy: str = "closed") -> int:
     (capped at m <= 10^6, as the coprime shift sum is); "direct" iterates
     the defining grid (scale-capped).  All agree.
     """
-    mt = as_moduli_tuple(moduli)
+    mt = _as_moduli_tuple(moduli)
     m = mt.lcm.value
     r = len(mt)
     if strategy == "closed":

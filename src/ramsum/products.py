@@ -33,14 +33,13 @@ hold the walk equal to them.  ``r_prime_power`` evaluates the
 all-ones-shift function R on prime-power tuples directly.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress, product as cartesian
 
 from .arith import (
     _as_factored,
-    as_moduli_tuple,
+    _as_moduli_tuple,
     factorize,
     multiplicative_eval,
 )
@@ -244,7 +243,7 @@ def _poly_convolve(system, moduli, coprime: bool) -> int:
 def _shift_args(shifts, moduli):
     """The coefficients (-a_i, 1) of ``linear_shift_poly(a_i)``, and the moduli tuple."""
     key = tuple((-int(a), 1) for a in shifts)
-    mt = as_moduli_tuple(moduli)
+    mt = _as_moduli_tuple(moduli)
     if len(key) != len(mt):
         raise DomainError(f"{len(key)} shifts but {len(mt)} moduli")
     return key, mt
@@ -271,39 +270,12 @@ def r_shift(shifts, moduli) -> int:
 # prime-power closed form and the normalized diagonal function
 
 
-@dataclass(frozen=True)
-class PrimePowerProfile:
-    """Exponent profile of a prime-power moduli tuple (p^e_1, ..., p^e_r).
-
-    ``exponents`` is sorted descending with every entry >= 1; ``e`` is the
-    top exponent, ``s`` its multiplicity and ``v = sum(e_j) - r - e + 1``.
-    """
-
-    p: int
-    exponents: tuple[int, ...]
-    e: int
-    s: int
-    v: int
-
-
-def prime_power_profile(p: int, exponents) -> PrimePowerProfile:
-    exps = tuple(sorted((int(e) for e in exponents), reverse=True))
-    if not exps:
-        raise DomainError("at least one exponent required")
-    if exps[-1] < 1:
-        raise DomainError(f"exponents must be >= 1, got {exps}")
-    if factorize(p).factors != ((p, 1),):
-        raise DomainError(f"{p} is not prime")
-    e = exps[0]
-    s = exps.count(e)
-    v = sum(exps) - len(exps) - e + 1
-    return PrimePowerProfile(p, exps, e, s, v)
-
-
 def h_value(s: int, x: int) -> int:
     """((x-1)^(s-1) + (-1)^s) / x as a checked exact integer division."""
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
+    if x == 0:
+        raise DomainError("x must be nonzero")
     num = (x - 1) ** (s - 1) + (-1) ** s
     q, rem = divmod(num, x)
     if rem:
@@ -316,17 +288,30 @@ def x_r_value(r: int, p: int) -> int:
     return (p - 1) ** r + (-1) ** r * (p - 2)
 
 
-def r_prime_power(profile: PrimePowerProfile) -> int:
-    """R on a prime-power tuple, directly from the exponent profile.
+def _r_local(p: int, exps: tuple[int, ...]) -> int:
+    """R on the prime-power tuple (p^e_1, ..., p^e_r), every e_j >= 1.
 
-    For top exponent e > 1 the value is p^(v+e) * (p-1)^(r-s+1) * h_s(p)
-    with h_s(x) = ((x-1)^(s-1) + (-1)^s) / x; for e = 1 it is
-    (p-1)^r + (-1)^r * (p-2).
+    With e the top exponent and s its multiplicity, the value is
+    p^(sum(e_j) - r + 1) * (p-1)^(r-s+1) * h_s(p) for e > 1, where
+    h_s(x) = ((x-1)^(s-1) + (-1)^s) / x, and x_r(p) for e = 1.
     """
-    p, r, s = profile.p, len(profile.exponents), profile.s
-    if profile.e == 1:
+    r, e = len(exps), max(exps)
+    if e == 1:
         return x_r_value(r, p)
-    return p ** (profile.v + profile.e) * (p - 1) ** (r - s + 1) * h_value(s, p)
+    s = exps.count(e)
+    return p ** (sum(exps) - r + 1) * (p - 1) ** (r - s + 1) * h_value(s, p)
+
+
+def r_prime_power(p: int, exponents) -> int:
+    """R on (p^e_1, ..., p^e_r) for a prime p and exponents e_j >= 1."""
+    exps = tuple(sorted(map(int, exponents), reverse=True))
+    if not exps:
+        raise DomainError("at least one exponent required")
+    if exps[-1] < 1:
+        raise DomainError(f"exponents must be >= 1, got {exps}")
+    if factorize(p).factors != ((p, 1),):
+        raise DomainError(f"{p} is not prime")
+    return _r_local(p, exps)
 
 
 def g_r_value(r: int, m) -> Fraction:
@@ -340,5 +325,5 @@ def g_r_value(r: int, m) -> Fraction:
     fm = _as_factored(m)
     out = Fraction(1)
     for p, e in fm.factors:
-        out *= Fraction(r_prime_power(prime_power_profile(p, (e,) * r)), p**e)
+        out *= Fraction(_r_local(p, (e,) * r), p**e)
     return out

@@ -16,28 +16,16 @@ from fractions import Fraction
 from functools import partial
 from itertools import product as cartesian
 
-from .arith import (
-    brauer_rademacher_sides,
-    coprime_count_in_class,
-    crt_solve,
-    dedekind_psi,
-    distinct_prime_count,
-    divisors,
-    euler_phi,
-    is_squarefree,
-    mobius,
-    moduli_tuple,
-)
+from .arith import divisors, euler_phi, factorize, mobius, moduli_tuple
 from .asymptotics import asymptotic_report, dirichlet_decomposition_check
 from .congruences import as_poly_system, count_roots
 from .even import SEvenFunction, coprime_shift_sum, ramanujan_even, t_a
-from .errors import DomainError
+from .errors import DomainError, ScaleError
 from .products import (
     _poly_convolve,
     e_g_direct,
     e_g_fast,
     e_shift,
-    prime_power_profile,
     r_g_direct,
     r_g_fast,
     r_prime_power,
@@ -48,6 +36,79 @@ from .ramanujan import ramanujan_row, ramanujan_sum
 POLY_CORPUS = ("x", "x-1", "x-2", "x+1", "x^2-1", "x^2+x+1", "2x-1")
 
 _SEED = 20120183
+
+
+# ---------------------------------------------------------------------------
+# check helpers: arithmetic that only the suites read
+
+
+def _dedekind_psi(n) -> int:
+    """psi(n) = n * prod_{p|n} (1 + 1/p), computed exactly."""
+    return math.prod(p ** (e - 1) * (p + 1) for p, e in factorize(n).factors)
+
+
+def _distinct_prime_count(n) -> int:
+    """omega(n), the number of distinct prime factors."""
+    return len(factorize(n).factors)
+
+
+def _is_squarefree(n) -> bool:
+    return all(e == 1 for _, e in factorize(n).factors)
+
+
+def _crt_solve(congruences):
+    """Solve the simultaneous congruences x = a_i (mod d_i).
+
+    Returns ``(x, L)`` with ``0 <= x < L = lcm(d_1, ..., d_r)`` when the
+    system is solvable, i.e. gcd(d_i, d_j) divides a_i - a_j for every
+    pair; returns ``None`` otherwise.
+    """
+    x, lcm = 0, 1
+    for a, d in congruences:
+        if d < 1:
+            raise DomainError(f"modulus must be positive, got {d}")
+        g = math.gcd(lcm, d)
+        if (a - x) % g:
+            return None
+        dd = d // g
+        if dd > 1:
+            t = ((a - x) // g) * pow((lcm // g) % dd, -1, dd) % dd
+            x += lcm * t
+        lcm *= dd
+        x %= lcm
+    return x, lcm
+
+
+def _coprime_count_in_class(n: int, d: int, x: int) -> int:
+    """Count k <= n with k = x (mod d) and gcd(k, n) = 1, by a scan.
+
+    Requires d | n, 1 <= x <= d and gcd(x, d) = 1; the result always
+    equals phi(n)/phi(d).
+    """
+    if n < 1 or d < 1 or n % d:
+        raise DomainError(f"need d | n, got n={n}, d={d}")
+    if not 1 <= x <= d or math.gcd(x, d) != 1:
+        raise DomainError(f"need 1 <= x <= d with gcd(x, d) = 1, got x={x}, d={d}")
+    if n > 10**7:
+        raise ScaleError(f"direct residue-class scan capped at n <= 10^7, got {n}")
+    return sum(1 for k in range(x, n + 1, d) if math.gcd(k, n) == 1)
+
+
+def _brauer_rademacher_sides(n: int, k: int) -> tuple[Fraction, Fraction]:
+    """Both sides of sum_{d|n, gcd(d,k)=1} d*mu(n/d)/phi(d) = mu(n)c_n(k)/phi(n).
+
+    Returns ``(lhs, rhs)`` as exact fractions; the two are always equal.
+    """
+    if n < 1 or k < 1:
+        raise DomainError("n and k must be positive")
+    lhs = Fraction(0)
+    for d in divisors(n):
+        if math.gcd(d, k) == 1:
+            w = mobius(n // d)
+            if w:
+                lhs += Fraction(d * w, euler_phi(d))
+    rhs = Fraction(mobius(n) * ramanujan_sum(n, k), euler_phi(n))
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +173,13 @@ def _split_two(n: int) -> tuple[int, int]:
 
 def _quadratic_full_rule(n: int) -> int:
     j, m = _split_two(n)
-    return {0: 1, 2: 1, 3: 2}.get(j, 0) if is_squarefree(m) else 0
+    return {0: 1, 2: 1, 3: 2}.get(j, 0) if _is_squarefree(m) else 0
 
 
 def _quadratic_coprime_rule(n: int) -> int:
     j, m = _split_two(n)
-    if j <= 3 and is_squarefree(m):
-        return {0: 1, 1: 1, 2: 4, 3: 16}[j] * dedekind_psi(m)
+    if j <= 3 and _is_squarefree(m):
+        return {0: 1, 1: 1, 2: 4, 3: 16}[j] * _dedekind_psi(m)
     return 0
 
 
@@ -151,8 +212,8 @@ def _suite_closed_forms(max_n: int):
         for m1 in range(1, 41):
             for m2 in range(1, 41):
                 want = 0
-                if m1 == m2 and is_squarefree(m1):
-                    want = (-1) ** distinct_prime_count(m1)
+                if m1 == m2 and _is_squarefree(m1):
+                    want = (-1) ** _distinct_prime_count(m1)
                 for a in (-3, -2, 0, 2, 3):
                     if e_shift((a, a + 1), (m1, m2)) != want:
                         return False
@@ -194,9 +255,9 @@ def _suite_closed_forms(max_n: int):
                     a2 = a1 + 1
                     if math.gcd(a1, m1) != 1 or math.gcd(a2, m2) != 1:
                         continue
-                    if is_squarefree(m1) and is_squarefree(m2):
+                    if _is_squarefree(m1) and _is_squarefree(m2):
                         g = math.gcd(m1, m2)
-                        want = (-1) ** distinct_prime_count(g) * dedekind_psi(g)
+                        want = (-1) ** _distinct_prime_count(g) * _dedekind_psi(g)
                     else:
                         want = 0
                     if r_shift((a1, a2), (m1, m2)) != want:
@@ -211,15 +272,14 @@ def _suite_prime_power(emax: int):
         for r in (1, 2, 3, 4):
             def check(p=p, r=r):
                 for exps in cartesian(range(1, emax + 1), repeat=r):
-                    prof = prime_power_profile(p, exps)
-                    val = r_prime_power(prof)
+                    val = r_prime_power(p, exps)
                     if val != r_g_direct(("x-1",) * r, tuple(p**e for e in exps)):
                         return False
-                    if prof.e == 1 and val != (p - 1) ** r + (-1) ** r * (p - 2):
+                    top = max(exps)
+                    if top == 1 and val != (p - 1) ** r + (-1) ** r * (p - 2):
                         return False
-                    should_vanish = prof.e > 1 and (
-                        prof.s == 1 or (prof.s % 2 == 1 and p == 2)
-                    )
+                    s = exps.count(top)
+                    should_vanish = top > 1 and (s == 1 or (s % 2 == 1 and p == 2))
                     if (val == 0) != should_vanish or val < 0:
                         return False
                 return True
@@ -287,7 +347,7 @@ def _suite_identities(max_n: int):
                 lcm = math.lcm(d1, d2)
                 for a1 in range(d1):
                     for a2 in range(d2):
-                        got = crt_solve([(a1, d1), (a2, d2)])
+                        got = _crt_solve([(a1, d1), (a2, d2)])
                         want = [x for x in range(lcm) if x % d1 == a1 and x % d2 == a2]
                         if got is None:
                             if want:
@@ -307,7 +367,7 @@ def _suite_identities(max_n: int):
             if lcm > 2000:
                 continue
             asv = [rng.randint(-50, 50) for _ in range(3)]
-            got = crt_solve(list(zip(asv, ds)))
+            got = _crt_solve(list(zip(asv, ds)))
             want = [
                 x
                 for x in range(lcm)
@@ -327,7 +387,7 @@ def _suite_identities(max_n: int):
         for d in divisors(n):
             quot = euler_phi(n) // euler_phi(d)
             for x in range(1, d + 1):
-                if math.gcd(x, d) == 1 and coprime_count_in_class(n, d, x) != quot:
+                if math.gcd(x, d) == 1 and _coprime_count_in_class(n, d, x) != quot:
                     return False
         return True
 
@@ -344,7 +404,7 @@ def _suite_identities(max_n: int):
         def check_br(lo=lo, hi=hi):
             for n in range(lo, hi + 1):
                 for k in range(1, max_n + 1):
-                    lhs, rhs = brauer_rademacher_sides(n, k)
+                    lhs, rhs = _brauer_rademacher_sides(n, k)
                     if lhs != rhs:
                         return False
             return True

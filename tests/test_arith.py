@@ -12,19 +12,21 @@ from ramsum import (
     DomainError,
     FactoredNat,
     ScaleError,
-    brauer_rademacher_sides,
-    coprime_count_in_class,
-    crt_solve,
-    dedekind_psi,
-    distinct_prime_count,
     divisors,
     e_g_direct,
     euler_phi,
     factorize,
-    is_squarefree,
     mobius,
     moduli_tuple,
     multiplicative_eval,
+)
+from ramsum.verify import (
+    _brauer_rademacher_sides as brauer_rademacher_sides,
+    _coprime_count_in_class as coprime_count_in_class,
+    _crt_solve as crt_solve,
+    _dedekind_psi as dedekind_psi,
+    _distinct_prime_count as distinct_prime_count,
+    _is_squarefree as is_squarefree,
 )
 
 

@@ -13,13 +13,13 @@ from ramsum import (
     PolynomialSyntaxError,
     ScaleError,
     count_roots,
-    crt_solve,
     linear_shift_poly,
     parse_polynomial,
     poly_eval_mod,
     poly_values_mod,
 )
 from ramsum import congruences
+from ramsum.verify import _crt_solve as crt_solve
 
 
 def test_parse_examples():

@@ -13,8 +13,6 @@ from ramsum import (
     IntPolynomial,
     ScaleError,
     count_roots,
-    dedekind_psi,
-    distinct_prime_count,
     divisors,
     e_g_direct,
     e_g_fast,
@@ -22,13 +20,11 @@ from ramsum import (
     euler_phi,
     g_r_value,
     h_value,
-    is_squarefree,
     linear_shift_poly,
     mobius,
     moduli_tuple,
     parse_polynomial,
     poly_eval_mod,
-    prime_power_profile,
     r_g_direct,
     r_g_fast,
     r_prime_power,
@@ -37,6 +33,11 @@ from ramsum import (
 )
 from ramsum.congruences import _canonical_local, _local_class_sum
 from ramsum.products import _convolve, _poly_convolve
+from ramsum.verify import (
+    _dedekind_psi as dedekind_psi,
+    _distinct_prime_count as distinct_prime_count,
+    _is_squarefree as is_squarefree,
+)
 
 CORPUS = ("x", "x-1", "x-2", "x+1", "x^2-1", "x^2+x+1", "2x-1")
 
@@ -591,31 +592,29 @@ def test_h_value_closed_forms():
             assert ((x - 1) ** (s - 1) + (-1) ** s) == h_value(s, x) * x
 
 
-def test_prime_power_profile_fields():
-    prof = prime_power_profile(2, (1, 3, 3, 2))
-    assert prof.exponents == (3, 3, 2, 1)
-    assert prof.e == 3 and prof.s == 2 and prof.v == 9 - 4 - 3 + 1
-    with pytest.raises(DomainError):
-        prime_power_profile(4, (1,))
-    with pytest.raises(DomainError):
-        prime_power_profile(3, (0, 1))
-    with pytest.raises(DomainError):
-        prime_power_profile(3, ())
+def test_r_prime_power_rejects_bad_input():
+    with pytest.raises(DomainError, match="4 is not prime"):
+        r_prime_power(4, (1,))
+    with pytest.raises(DomainError, match=r"exponents must be >= 1, got \(1, 0\)"):
+        r_prime_power(3, (0, 1))
+    with pytest.raises(DomainError, match="at least one exponent required"):
+        r_prime_power(3, ())
 
 
 def test_r_prime_power_known_values():
-    assert r_prime_power(prime_power_profile(3, (1, 1))) == 5
-    assert r_prime_power(prime_power_profile(2, (2, 2))) == 8
-    assert r_prime_power(prime_power_profile(2, (3, 1))) == 0
-    assert r_prime_power(prime_power_profile(3, (2, 2, 2))) == 162
+    assert r_prime_power(3, (1, 1)) == 5
+    assert r_prime_power(2, (2, 2)) == 8
+    assert r_prime_power(2, (3, 1)) == 0
+    assert r_prime_power(3, (2, 2, 2)) == 162
+    # the exponent order does not matter: R is symmetric
+    assert r_prime_power(2, (1, 3, 3, 2)) == r_prime_power(2, (3, 3, 2, 1))
 
 
 def test_r_prime_power_matches_oracle():
     for p in (2, 3):
         for r in (1, 2, 3):
             for exps in product((1, 2), repeat=r):
-                prof = prime_power_profile(p, exps)
-                assert r_prime_power(prof) == r_g_direct(
+                assert r_prime_power(p, exps) == r_g_direct(
                     ("x-1",) * r, tuple(p**e for e in exps)
                 ), (p, exps)
 
@@ -624,19 +623,20 @@ def test_r_prime_power_zero_classification():
     for p in (2, 3, 5):
         for r in (1, 2, 3, 4):
             for exps in product((1, 2, 3), repeat=r):
-                prof = prime_power_profile(p, exps)
-                val = r_prime_power(prof)
+                val = r_prime_power(p, exps)
                 assert val >= 0
-                vanishes = prof.e > 1 and (prof.s == 1 or (prof.s % 2 == 1 and p == 2))
+                top = max(exps)
+                s = exps.count(top)
+                vanishes = top > 1 and (s == 1 or (s % 2 == 1 and p == 2))
                 assert (val == 0) == vanishes, (p, exps)
 
 
 def test_two_variable_prime_power_cases():
     for p in (2, 3, 5):
         for e in (2, 3):
-            assert r_prime_power(prime_power_profile(p, (e, e))) == p ** (2 * e - 1) * (p - 1)
-        assert r_prime_power(prime_power_profile(p, (1, 1))) == p**2 - p - 1
-        assert r_prime_power(prime_power_profile(p, (3, 2))) == 0
+            assert r_prime_power(p, (e, e)) == p ** (2 * e - 1) * (p - 1)
+        assert r_prime_power(p, (1, 1)) == p**2 - p - 1
+        assert r_prime_power(p, (3, 2)) == 0
 
 
 def test_g_r_known_values():
