@@ -36,7 +36,7 @@ def convolution_kernel(m=6, r=3):
     kernel = ramanujan_even(m)
     for _ in range(r - 1):
         kernel = cauchy_convolve(kernel, ramanujan_even(m))
-    alpha = fourier_coefficients(kernel).alpha
+    alpha = fourier_coefficients(kernel)
     for d, v in sorted(alpha.items()):
         print(f"  alpha({d}) = {v}")
     print(f"  (concentrated at d = {m} with weight m^(r-1) = {m ** (r - 1)})")

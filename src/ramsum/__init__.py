@@ -29,7 +29,6 @@ from .asymptotics import (
 )
 from .congruences import (
     IntPolynomial,
-    PolySystem,
     RootCount,
     as_poly_system,
     count_roots,
@@ -40,7 +39,6 @@ from .congruences import (
 )
 from .errors import ConsistencyError, DomainError, PolynomialSyntaxError, ScaleError
 from .even import (
-    FourierCoefficients,
     SEvenFunction,
     cauchy_convolve,
     cauchy_convolve_naive,
@@ -76,10 +74,8 @@ __all__ = [
     "ConsistencyError",
     "DomainError",
     "FactoredNat",
-    "FourierCoefficients",
     "IntPolynomial",
     "ModuliTuple",
-    "PolySystem",
     "PolynomialSyntaxError",
     "RootCount",
     "SEvenFunction",

@@ -36,6 +36,12 @@ from .products import _r_local, x_r_value
 _SIEVE_CAP = 10**6
 _DIRICHLET_CAP = 10**4
 _PRIME_BOUND_CAP = 10**7
+# r is capped before any sieve or power is built.  The Euler product forms
+# p^r for every prime p up to 10^7: alpha_r(256, 10^7) takes about 7 s.
+_ALPHA_R_CAP = 256
+# The sieves hold R(m), about r log2(m) bits, at every m <= x, and the report
+# forms x^r in double precision: 10^(6r) < 2^1024 exactly when r <= 51.
+_SIEVE_R_CAP = 51
 
 if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
     _coprime_fraction = Fraction._from_coprime_ints
@@ -46,6 +52,13 @@ else:
         return Fraction(numerator, denominator, _normalize=False)
 
 
+def _check_r(r: int, cap: int, what: str) -> None:
+    if r < 2:
+        raise DomainError(f"r must be >= 2, got {r}")
+    if r > cap:
+        raise ScaleError(f"{what} capped at r <= {cap}, got {r}")
+
+
 def euler_factor_data(r: int, p: int) -> tuple[int, int]:
     """(x_r(p) - p^r, (-1)^r p^r): the values of d F_r(d) at d = p and p^2.
 
@@ -54,8 +67,7 @@ def euler_factor_data(r: int, p: int) -> tuple[int, int]:
     So A = R(p) - p^r = x_r(p) - p^r, and B = R(p^2) - p^r x_r(p) =
     p^r (p(p-1)h_r(p) - x_r(p)), where p(p-1)h_r(p) - x_r(p) = (-1)^r.
     """
-    if r < 2:
-        raise DomainError(f"r must be >= 2, got {r}")
+    _check_r(r, _ALPHA_R_CAP, "Euler factor")
     if p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
     pr = p**r
@@ -87,6 +99,8 @@ def euler_factor(r: int, p: int) -> float:
 
     Evaluated in double precision from the exact integer numerator
     p^(r+2) + p A + (-1)^r, since B = (-1)^r p^r; the pair is not built here.
+    r is not checked: ``alpha_r``, which calls this at every prime, caps it
+    once.
     """
     if p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
@@ -96,8 +110,7 @@ def euler_factor(r: int, p: int) -> float:
 
 
 def _check_alpha_args(r: int, prime_bound: int) -> None:
-    if r < 2:
-        raise DomainError(f"r must be >= 2, got {r}")
+    _check_r(r, _ALPHA_R_CAP, "Euler product")
     if prime_bound < 1:
         raise DomainError(f"prime bound must be >= 1, got {prime_bound}")
     if prime_bound > _PRIME_BOUND_CAP:
@@ -114,7 +127,7 @@ def alpha_r(r: int, prime_bound: int) -> float:
     alpha_r, and for every r >= 2 the truncation error satisfies
     0 <= alpha_r(r, P) - alpha_r < alpha_r(r, P) * (r + 1)/P, from the
     tail sum of (r + 1)/n^2 over n > P.  The odd-only prime sieve takes
-    prime_bound/2 bytes, and prime_bound is capped at 10^7.  Each product
+    prime_bound/2 bytes; prime_bound is capped at 10^7 and r at 256.  Each product
     is kept, a float per (r, prime_bound), since reports repeat them.
     """
     _check_alpha_args(r, prime_bound)
@@ -191,8 +204,7 @@ def _r_sieve(r: int, x: int) -> tuple[array, list[int]]:
 
 
 def _check_sieve_args(r: int, x: int) -> None:
-    if r < 2:
-        raise DomainError(f"r must be >= 2, got {r}")
+    _check_r(r, _SIEVE_R_CAP, "sieve")
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     if x > _SIEVE_CAP:
@@ -223,8 +235,7 @@ def dirichlet_decomposition_check(r: int, m_bound: int) -> bool:
     the integer values of ``euler_factor_data`` at p and p^2, closed forms
     that do not read the sieve's h_r(p).  Returns False on any mismatch.
     """
-    if r < 2:
-        raise DomainError(f"r must be >= 2, got {r}")
+    _check_r(r, _SIEVE_R_CAP, "decomposition check")
     if m_bound < 1:
         raise DomainError(f"m_bound must be >= 1, got {m_bound}")
     if m_bound > _DIRICHLET_CAP:
@@ -262,7 +273,8 @@ def asymptotic_report(r: int, x: int, prime_bound: int) -> AsymptoticReport:
 
     The partial sum is accumulated exactly and converted to floating
     point only for the ratio.  Every argument is checked before the
-    sieve runs.
+    sieve runs.  With r <= 51 and x <= 10^6 no float overflows: x^r stays
+    below 10^306, and so does the partial sum, since |g_r(m)| <= m^(r-1).
     """
     _check_sieve_args(r, x)
     _check_alpha_args(r, prime_bound)

@@ -57,39 +57,32 @@ def linear_shift_poly(a: int) -> IntPolynomial:
     return IntPolynomial((-a, 1))
 
 
-@dataclass(frozen=True)
-class PolySystem:
-    polys: tuple[IntPolynomial, ...]
-
-    def __post_init__(self):
-        if not self.polys:
-            raise DomainError("a system needs at least one polynomial")
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-
-def as_poly_system(system) -> PolySystem:
-    """Coerce a PolySystem, a polynomial, a string, or a sequence of either.
+def as_poly_system(system) -> tuple[IntPolynomial, ...]:
+    """Coerce a polynomial, a string, or a sequence of either to a tuple of polynomials.
 
     A string is parsed by ``parse_polynomial``, which parses each short,
-    low-degree text once; a ``PolySystem`` skips even that lookup.
+    low-degree text once.
     """
-    if isinstance(system, PolySystem):
-        return system
     if isinstance(system, (IntPolynomial, str)):
         system = (system,)
     polys = tuple(parse_polynomial(g) if isinstance(g, str) else g for g in system)
-    return PolySystem(polys)
+    if not polys:
+        raise DomainError("a system needs at least one polynomial")
+    return polys
 
 
-def as_system_and_moduli(system, moduli) -> tuple[PolySystem, ModuliTuple]:
-    """Coerce a system and its moduli, one modulus per polynomial."""
-    sys_ = as_poly_system(system)
+def as_system_and_moduli(system, moduli) -> tuple[tuple[tuple[int, ...], ...], ModuliTuple]:
+    """The coefficient tuples of a system and its moduli, one modulus per polynomial.
+
+    The coefficients, constant term first, are the key that every route
+    reads: the root counts, the class walk, the mu-convolution and the
+    definitional oracles.
+    """
+    key = tuple(g.coeffs for g in as_poly_system(system))
     mt = _as_moduli_tuple(moduli)
-    if len(sys_) != len(mt):
-        raise DomainError(f"{len(sys_)} polynomials but {len(mt)} moduli")
-    return sys_, mt
+    if len(key) != len(mt):
+        raise DomainError(f"{len(key)} polynomials but {len(mt)} moduli")
+    return key, mt
 
 
 @dataclass(frozen=True)
@@ -302,8 +295,12 @@ def _fp_monic(a: list, p: int) -> list:
     return [c * inv % p for c in a]
 
 
-def _fp_rem(a: list, f: list, p: int) -> list:
-    """a mod f over F_p, f monic."""
+def _fp_divmod(a: list, f: list, p: int) -> tuple[list, list]:
+    """(a // f, a mod f) over F_p, f monic; the remainder has no trailing zeros.
+
+    Division in place: step i leaves the quotient's coefficient of
+    x^(i - deg f) at a[i] and reduces only the entries below it.
+    """
     a = list(a)
     df = len(f) - 1
     for i in range(len(a) - 1, df - 1, -1):
@@ -311,27 +308,14 @@ def _fp_rem(a: list, f: list, p: int) -> list:
         if q:
             for j in range(df):
                 a[i - df + j] = (a[i - df + j] - q * f[j]) % p
-    return _fp_trim(a[:df])
-
-
-def _fp_quo(a: list, f: list, p: int) -> list:
-    """a / f over F_p, f monic and dividing a."""
-    a = list(a)
-    df = len(f) - 1
-    q = [0] * (len(a) - df)
-    for i in range(len(a) - 1, df - 1, -1):
-        c = q[i - df] = a[i]
-        if c:
-            for j in range(df):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    return q
+    return a[df:], _fp_trim(a[:df])
 
 
 def _fp_gcd(a: list, b: list, p: int) -> list:
     """The monic gcd over F_p of two nonzero polynomials."""
     a, b = _fp_monic(a, p), _fp_monic(b, p)
     while len(b) > 1:
-        a, b = b, _fp_rem(a, b, p)
+        a, b = b, _fp_divmod(a, b, p)[1]
         if not b:
             return a
         b = _fp_monic(b, p)
@@ -344,12 +328,12 @@ def _fp_mulmod(a: list, b: list, f: list, p: int) -> list:
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] += ai * bj
-    return _fp_rem([c % p for c in prod], f, p)
+    return _fp_divmod([c % p for c in prod], f, p)[1]
 
 
 def _fp_powmod(base: list, e: int, f: list, p: int) -> list:
     """base^e mod f over F_p, f monic of degree >= 2."""
-    out, base = [1], _fp_rem(base, f, p)
+    out, base = [1], _fp_divmod(base, f, p)[1]
     while e:
         if e & 1:
             out = _fp_mulmod(out, base, f, p)
@@ -377,7 +361,7 @@ def _fp_split(f: list, p: int) -> list:
         else:
             d = [a, 1]  # x + a divides f
         if 1 < len(d) < len(f):
-            return _fp_split(d, p) + _fp_split(_fp_quo(f, d, p), p)
+            return _fp_split(d, p) + _fp_split(_fp_divmod(f, d, p)[0], p)
         a += 1
 
 
@@ -681,20 +665,18 @@ def count_roots(system, moduli, units_only: bool = False, strategy: str = "multi
     ``poly_values_mod``, marks the zeros, and counts the x mod lcm where
     every mark is set.  "multiplicative" multiplies per-prime local counts.
     """
-    sys_, mt = as_system_and_moduli(system, moduli)
+    key, mt = as_system_and_moduli(system, moduli)
     m = mt.lcm.value
     if strategy == "direct":
         if m > _DIRECT_SCAN_CAP:
             raise ScaleError(f"direct scan capped at lcm <= 10^6, got {m}")
-        hits = _residue_product(
-            [bytes(map((0).__eq__, poly_values_mod(g, mi))) for g, mi in zip(sys_.polys, mt.moduli)]
-        )
+        values = (poly_values_mod(IntPolynomial(c), mi) for c, mi in zip(key, mt.moduli))
+        hits = _residue_product([bytes(map((0).__eq__, row)) for row in values])
         if units_only:
             hits = compress(hits, _unit_mask(mt.lcm))
         return RootCount(sum(hits), m)
     if strategy != "multiplicative":
         raise DomainError(f"unknown strategy {strategy!r}")
-    key = tuple(g.coeffs for g in sys_.polys)
     count = 1
     for p, evec in mt.profile:
         count *= _local_root_count(key, p, evec, units_only)

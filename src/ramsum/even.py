@@ -33,52 +33,32 @@ _T_DIRECT_CAP = 10**7
 _SHIFT_SUM_CAP = 10**6
 
 
-def _as_fractions(s: int, values: dict, what: str) -> dict:
-    """A new dict of ``values`` as Fractions; DomainError unless keyed by the divisors of s.
-
-    Fractions are immutable, so those given are kept rather than rebuilt.
-    """
-    if s < 1:
-        raise DomainError(f"period must be positive, got {s}")
-    divs = divisors(s)
-    if set(values) != set(divs):
-        raise DomainError(f"{what} must be keyed by exactly the divisors of {s}")
-    out = {}
-    for d in divs:
-        v = values[d]
-        out[d] = v if type(v) is Fraction else Fraction(v)
-    return out
-
-
 @dataclass(frozen=True)
 class SEvenFunction:
     """An s-even function stored by its values on the divisors of s.
 
-    ``values`` is a copy of the given mapping, converted to Fractions.
+    ``values`` is a copy of the given mapping in divisor order, converted to
+    Fractions (those given are kept, being immutable); DomainError unless it
+    is keyed by exactly the divisors of s.
     """
 
     s: int
     values: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_fractions(self.s, self.values, "values"))
+        if self.s < 1:
+            raise DomainError(f"period must be positive, got {self.s}")
+        divs = divisors(self.s)
+        if set(self.values) != set(divs):
+            raise DomainError(f"values must be keyed by exactly the divisors of {self.s}")
+        values = {}
+        for d in divs:
+            v = self.values[d]
+            values[d] = v if type(v) is Fraction else Fraction(v)
+        object.__setattr__(self, "values", values)
 
     def __call__(self, n: int) -> Fraction:
         return self.values[math.gcd(n % self.s, self.s)]
-
-
-@dataclass(frozen=True)
-class FourierCoefficients:
-    """Expansion coefficients alpha(d) of an s-even function, d | s.
-
-    ``alpha`` is a copy of the given mapping, converted to Fractions.
-    """
-
-    s: int
-    alpha: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_fractions(self.s, self.alpha, "coefficients"))
 
 
 def ramanujan_even(n: int, s: int | None = None) -> SEvenFunction:
@@ -106,11 +86,14 @@ def _synthesis(coefficients: dict) -> dict:
     return {e: sum(a * ramanujan_sum(d, e) for d, a in coefficients.items() if a) for e in coefficients}
 
 
-def fourier_coefficients(f: SEvenFunction) -> FourierCoefficients:
-    """alpha(d) = (1/s) sum_{e|s} f(e) c_{s/e}(s/d), exactly."""
+def fourier_coefficients(f: SEvenFunction) -> dict:
+    """{d: alpha(d)} over the divisors d of s, ascending, as Fractions.
+
+    alpha(d) = (1/s) sum_{e|s} f(e) c_{s/e}(s/d), exactly.
+    """
     den, num = _numerators(f.values)
     sl = f.s * den
-    return FourierCoefficients(f.s, {d: Fraction(a, sl) for d, a in _analysis(f.s, num).items()})
+    return {d: Fraction(a, sl) for d, a in _analysis(f.s, num).items()}
 
 
 def _same_period(f: SEvenFunction, g: SEvenFunction) -> int:

@@ -80,19 +80,26 @@ def _poly_c_values(coeffs: tuple[int, ...], m: int):
     return vals, max(1, max(map(abs, vals)))
 
 
-def _product_sum(system, mt, coprime_only: bool) -> int:
+def _product_sum(key, mt, coprime_only: bool) -> int:
     """sum over residues k mod m of prod_i c_{m_i}(g_i(k)), exactly.
 
-    The cached rows c_{m_i}(g_i(x)), x mod m_i, are multiplied term by
-    term in unbounded Python integers, as one lazy chain that cycles the
-    product so far only when a row grows its period (``_residue_product``).
+    ``key`` holds the coefficient tuples of the g_i.  The cached rows
+    c_{m_i}(g_i(x)), x mod m_i, are multiplied term by term in unbounded
+    Python integers, as one lazy chain that cycles the product so far only
+    when a row grows its period (``_residue_product``).
     """
-    terms = _residue_product(
-        [_poly_c_values(g.coeffs, mi)[0] for g, mi in zip(system.polys, mt.moduli)]
-    )
+    terms = _residue_product([_poly_c_values(c, mi)[0] for c, mi in zip(key, mt.moduli)])
     if coprime_only:
         terms = compress(terms, _unit_mask(mt.lcm))
     return sum(terms)
+
+
+def _oracle_args(system, moduli):
+    """``as_system_and_moduli``, with the definitional oracles' cap on the lcm."""
+    key, mt = as_system_and_moduli(system, moduli)
+    if mt.lcm.value > _ORACLE_CAP:
+        raise ScaleError(f"definitional oracle capped at lcm <= 10^6, got {mt.lcm.value}")
+    return key, mt
 
 
 def e_g_direct(system, moduli) -> int:
@@ -101,11 +108,9 @@ def e_g_direct(system, moduli) -> int:
     The raw sum is always divisible by m; a failed division is an
     internal error, not a property of the input.
     """
-    sys_, mt = as_system_and_moduli(system, moduli)
+    key, mt = _oracle_args(system, moduli)
     m = mt.lcm.value
-    if m > _ORACLE_CAP:
-        raise ScaleError(f"definitional oracle capped at lcm <= 10^6, got {m}")
-    raw = _product_sum(sys_, mt, coprime_only=False)
+    raw = _product_sum(key, mt, coprime_only=False)
     q, rem = divmod(raw, m)
     if rem:
         raise ConsistencyError(f"raw sum {raw} not divisible by m={m}")
@@ -114,10 +119,7 @@ def e_g_direct(system, moduli) -> int:
 
 def r_g_direct(system, moduli) -> int:
     """sum over k <= m coprime to m of prod_i c_{m_i}(g_i(k))."""
-    sys_, mt = as_system_and_moduli(system, moduli)
-    if mt.lcm.value > _ORACLE_CAP:
-        raise ScaleError(f"definitional oracle capped at lcm <= 10^6, got {mt.lcm.value}")
-    return _product_sum(sys_, mt, coprime_only=True)
+    return _product_sum(*_oracle_args(system, moduli), coprime_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +146,6 @@ def _class_product(key, mt, coprime: bool) -> int:
     return out
 
 
-def _poly_class_product(system, moduli, coprime: bool) -> int:
-    sys_, mt = as_system_and_moduli(system, moduli)
-    return _class_product(tuple(g.coeffs for g in sys_.polys), mt, coprime)
-
-
 def e_g_fast(system, moduli) -> int:
     """Averaged product sum, one class walk per prime of m.
 
@@ -157,7 +154,7 @@ def e_g_fast(system, moduli) -> int:
     powers themselves.  Strings go through ``parse_polynomial``, which
     keeps the parses of short, low-degree texts.
     """
-    return _poly_class_product(system, moduli, False)
+    return _class_product(*as_system_and_moduli(system, moduli), False)
 
 
 def r_g_fast(system, moduli) -> int:
@@ -166,7 +163,7 @@ def r_g_fast(system, moduli) -> int:
     Equals ``r_g_direct`` everywhere.  Strings go through
     ``parse_polynomial``, which keeps the parses of short, low-degree texts.
     """
-    return _poly_class_product(system, moduli, True)
+    return _class_product(*as_system_and_moduli(system, moduli), True)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +228,7 @@ def _poly_convolve(system, moduli, coprime: bool) -> int:
     The check route for ``e_g_fast``/``r_g_fast``: 2^r terms per prime,
     each a Hensel-tree root count, and no class walk.
     """
-    sys_, mt = as_system_and_moduli(system, moduli)
-    key = tuple(g.coeffs for g in sys_.polys)
+    key, mt = as_system_and_moduli(system, moduli)
     return _convolve(mt, partial(_local_root_count, key), coprime)
 
 

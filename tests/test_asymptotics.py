@@ -56,6 +56,36 @@ def test_prime_bound_cap():
         asymptotic_report(2, 10, 10**7 + 1)
 
 
+def test_r_caps(monkeypatch):
+    # r past its cap is a scale error, raised before any sieve or power of r is built
+    monkeypatch.setattr(asymptotics, "_primes_upto", None)
+    for r in (257, 2 * 10**10):
+        with pytest.raises(ScaleError, match=f"^Euler product capped at r <= 256, got {r}$"):
+            alpha_r(r, 3)
+        with pytest.raises(ScaleError, match=f"^Euler factor capped at r <= 256, got {r}$"):
+            euler_factor_data(r, 3)
+    for r in (52, 200, 2 * 10**10):
+        for call in (g_r_sieve, g_r_partial_sum, lambda r, x: asymptotic_report(r, x, 100)):
+            with pytest.raises(ScaleError, match=f"^sieve capped at r <= 51, got {r}$"):
+                call(r, 100)
+        with pytest.raises(ScaleError, match=f"^decomposition check capped at r <= 51, got {r}$"):
+            dirichlet_decomposition_check(r, 100)
+
+
+def test_report_floats_stay_finite_up_to_the_r_cap():
+    # x^r is a double for every x <= 10^6 exactly when r <= 51
+    float(10**6) ** asymptotics._SIEVE_R_CAP
+    with pytest.raises(OverflowError):
+        float(10**6) ** (asymptotics._SIEVE_R_CAP + 1)
+    # and so is the partial sum, since |g_r(m)| <= m^(r-1)
+    r = asymptotics._SIEVE_R_CAP
+    assert all(abs(g) <= m ** (r - 1) for m, g in enumerate(g_r_sieve(r, 300)) if m)
+    for x in (1, 2, 999):
+        rep = asymptotic_report(r, x, 100)
+        assert all(map(math.isfinite, (rep.predicted, rep.ratio, float(rep.empirical)))), x
+    assert alpha_r(256, 100) > 0
+
+
 def test_report_checks_prime_bound_before_sieve(monkeypatch):
     # the partial sum and alpha_r both start with the prime sieve, so that
     # is what must not run

@@ -301,14 +301,32 @@ def test_range_table_at_the_cap_is_allowed():
     assert next(_tuple_space(parse_args(["T", "--a", "0", "--r", "1000000", "--range", "1"]))) == (1,) * 10**6
 
 
+# main(argv) in a child process with 1 GiB of address space
+_LIMITED_MAIN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from ramsum.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
 def test_huge_range_row_exits_3_in_bounded_memory():
-    # one row of 10^9 moduli would make a 10^9-entry pool; the child has 1 GiB of address space
-    limit = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-    code = limit + "from ramsum.cli import main; sys.exit(main(sys.argv[1:]))"
+    # one row of 10^9 moduli would make a 10^9-entry pool
     argv = ["T", "--a", "0", "--r", "1000000000", "--range", "1"]
-    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (3, ""), done.stderr
     assert done.stderr == "ramsum: scale error: --range row of 1000000000 moduli exceeds 10^6 moduli\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["asymptotic", "--r", "200", "--x", "100", "--prime-bound", "100"], "sieve capped at r <= 51, got 200"),
+        (["alpha", "--r", "20000000000", "--prime-bound", "3"], "Euler product capped at r <= 256, got 20000000000"),
+    ],
+)
+def test_r_past_its_cap_exits_3_in_bounded_memory(argv, message):
+    # x^r overflowed a double, and p^r took more than the child's address space
+    done = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", f"ramsum: scale error: {message}\n")
 
 
 # Run in one process, in this order, then each in a fresh process: one parser

@@ -12,6 +12,7 @@ from ramsum import (
     IntPolynomial,
     PolynomialSyntaxError,
     ScaleError,
+    as_poly_system,
     count_roots,
     linear_shift_poly,
     parse_polynomial,
@@ -100,6 +101,21 @@ def test_count_roots_linear_single():
 def test_count_roots_length_mismatch():
     with pytest.raises(DomainError):
         count_roots(("x", "x"), (4,))
+
+
+def test_as_poly_system_is_a_tuple_of_polynomials():
+    g, h = parse_polynomial("x^2-1"), IntPolynomial((-1, 2))
+    assert as_poly_system("x^2-1") == as_poly_system(g) == (g,)
+    for system in (["x^2-1", "2x-1"], (g, "2x-1"), iter((g, h))):
+        got = as_poly_system(system)
+        assert type(got) is tuple and got == (g, h)
+        assert all(type(poly) is IntPolynomial for poly in got)
+    for empty in ((), [], iter(())):
+        with pytest.raises(DomainError) as err:
+            as_poly_system(empty)
+        assert str(err.value) == "a system needs at least one polynomial"
+    with pytest.raises(DomainError, match="^a system needs at least one polynomial$"):
+        count_roots((), ())
 
 
 @st.composite
@@ -384,6 +400,24 @@ def test_quadratic_roots_match_scan(p):
         g = [rng.randrange(p), rng.randrange(p), 1]
         scan = [x for x in range(p) if (x * x + g[1] * x + g[0]) % p == 0]
         assert sorted(_fp_quadratic_roots(g, p)) == scan
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10007])
+def test_fp_divmod_is_euclidean_division(p):
+    from ramsum.congruences import _fp_divmod, _fp_trim
+
+    rng = random.Random(p)
+    for _ in range(60):
+        f = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [1]
+        a = _fp_trim([rng.randrange(p) for _ in range(rng.randrange(1, 12))])
+        q, r = _fp_divmod(a, f, p)
+        assert len(r) < len(f) and (not r or r[-1])
+        assert len(q) == max(len(a) - len(f) + 1, 0) and (not q or q[-1])
+        back = r + [0] * (len(a) + len(f))  # q f + r
+        for i, qi in enumerate(q):
+            for j, fj in enumerate(f):
+                back[i + j] += qi * fj
+        assert _fp_trim([c % p for c in back]) == a, (a, f, p)
 
 
 def test_count_roots_direct_scale_guard():

@@ -12,7 +12,6 @@ import ramsum.even
 from ramsum import (
     ConsistencyError,
     DomainError,
-    FourierCoefficients,
     ScaleError,
     SEvenFunction,
     cauchy_convolve,
@@ -57,13 +56,13 @@ def test_values_must_cover_divisors():
 def test_fourier_of_ramanujan_kernel_is_indicator():
     for s in range(1, 121):
         for n in divisors(s):
-            alpha = fourier_coefficients(ramanujan_even(n, s)).alpha
+            alpha = fourier_coefficients(ramanujan_even(n, s))
             for d in divisors(s):
                 assert alpha[d] == (1 if d == n else 0), (s, n, d)
 
 
 def test_fourier_of_constant_function():
-    alpha = fourier_coefficients(_constant(12, 1)).alpha
+    alpha = fourier_coefficients(_constant(12, 1))
     assert alpha[1] == 1
     assert all(alpha[d] == 0 for d in divisors(12) if d > 1)
 
@@ -73,9 +72,9 @@ def test_fourier_roundtrip_exhaustive_small():
     for s in range(1, 37):
         values = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for d in divisors(s)}
         f = SEvenFunction(s, values)
-        back = _synthesis(s, fourier_coefficients(f).alpha)
+        back = _synthesis(s, fourier_coefficients(f))
         assert back == f.values
-        assert fourier_coefficients(SEvenFunction(s, back)).alpha == fourier_coefficients(f).alpha
+        assert fourier_coefficients(SEvenFunction(s, back)) == fourier_coefficients(f)
 
 
 @given(
@@ -89,7 +88,7 @@ def test_fourier_roundtrip_random(s, data):
         for d in divisors(s)
     }
     f = SEvenFunction(s, values)
-    assert _synthesis(s, fourier_coefficients(f).alpha) == f.values
+    assert _synthesis(s, fourier_coefficients(f)) == f.values
 
 
 def test_cauchy_known_values():
@@ -238,13 +237,23 @@ def test_coprime_shift_sum_raises_when_its_spectral_side_differs(monkeypatch):
 
 
 def test_constructors_copy_the_callers_mapping():
-    for make in (SEvenFunction, FourierCoefficients):
-        given_values = {1: 1, 2: 3}
-        obj = make(2, given_values)
-        held = obj.values if make is SEvenFunction else obj.alpha
-        assert held is not given_values and held == {1: 1, 2: 3}
-        assert [type(v) for v in given_values.values()] == [int, int]
-        assert [type(v) for v in held.values()] == [Fraction, Fraction]
+    given_values = {1: 1, 2: 3}
+    held = SEvenFunction(2, given_values).values
+    assert held is not given_values and held == {1: 1, 2: 3}
+    assert [type(v) for v in given_values.values()] == [int, int]
+    assert [type(v) for v in held.values()] == [Fraction, Fraction]
+
+
+def test_fourier_coefficients_are_fractions_keyed_by_the_divisors_in_order():
+    for s in (1, 2, 12, 30, 36, 97, 360):
+        for f in (ramanujan_even(s), _constant(s, Fraction(2, 3))):
+            alpha = fourier_coefficients(f)
+            assert type(alpha) is dict
+            assert list(alpha) == divisors(s), s
+            assert all(type(v) is Fraction for v in alpha.values()), s
+    # values given out of divisor order come back in it
+    shuffled = SEvenFunction(6, {6: 2, 1: 1, 3: 0, 2: 5})
+    assert list(fourier_coefficients(shuffled)) == [1, 2, 3, 6]
 
 
 def _c(n, k):
@@ -269,8 +278,8 @@ def test_s_even_transforms_equal_their_defining_sums(case):
     divs = divisors(s)
     f, g = SEvenFunction(s, fv), SEvenFunction(s, gv)
     want_alpha = {d: sum(fv[e] * _c(s // e, s // d) for e in divs) / s for d in divs}
-    assert fourier_coefficients(f).alpha == want_alpha
-    beta = fourier_coefficients(g).alpha
+    assert fourier_coefficients(f) == want_alpha
+    beta = fourier_coefficients(g)
     want_back = {e: Fraction(sum(want_alpha[d] * _c(d, e) for d in divs)) for e in divs}
     assert want_back == fv
     want_conv = {e: Fraction(sum(s * want_alpha[d] * beta[d] * _c(d, e) for d in divs)) for e in divs}

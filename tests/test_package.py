@@ -8,10 +8,8 @@ PUBLIC_NAMES = (
     "ConsistencyError",
     "DomainError",
     "FactoredNat",
-    "FourierCoefficients",
     "IntPolynomial",
     "ModuliTuple",
-    "PolySystem",
     "PolynomialSyntaxError",
     "RootCount",
     "SEvenFunction",
