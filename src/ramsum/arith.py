@@ -6,35 +6,69 @@ variables.  Everything is exact, in unbounded Python integers.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, ScaleError
 
 
-@dataclass(frozen=True)
-class FactoredNat:
+class _Record:
+    """Base of the immutable records, equal and hashed by their fields in order.
+
+    A subclass names its fields in ``__slots__ = _fields = (...)``; its own
+    constructor fills them through ``_setters``, as assigning to a record raises.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple([getattr(cls, f).__set__ for f in cls._fields])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FactoredNat(_Record):
     """A positive integer together with its canonical prime factorization.
 
     ``factors`` lists ``(prime, exponent)`` pairs with strictly increasing
     primes and exponents >= 1; the empty tuple represents 1.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("value", "factors")
 
-    def __post_init__(self):
-        if self.value < 1:
-            raise DomainError(f"positive integer required, got {self.value}")
-        acc = 1
-        prev = 1
-        for p, e in self.factors:
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
+        if value < 1:
+            raise DomainError(f"positive integer required, got {value}")
+        acc = prev = 1
+        for p, e in factors:
             if p <= prev or e < 1:
                 raise DomainError("factors must list increasing primes with exponents >= 1")
             prev = p
             acc *= p**e
-        if acc != self.value:
-            raise DomainError(f"factor product {acc} does not reconstruct {self.value}")
+        if acc != value:
+            raise DomainError(f"factor product {acc} does not reconstruct {value}")
+        set_value, set_factors = self._setters
+        set_value(self, value)
+        set_factors(self, factors)
 
 
 # Increments of the mod-30 wheel, starting from 7.
@@ -211,36 +245,49 @@ def euler_phi(n) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ModuliTuple:
+class ModuliTuple(_Record):
     """An ordered tuple of positive moduli with its lcm and prime profile.
 
     ``profile`` pairs each prime of the lcm with the exponent vector
     (v_p(m_1), ..., v_p(m_r)); the maximum of each vector is v_p(lcm).
     """
 
-    moduli: tuple[int, ...]
-    lcm: FactoredNat
-    profile: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = _fields = ("moduli", "lcm", "profile")
+
+    def __init__(self, moduli: tuple[int, ...], lcm: FactoredNat, profile: tuple):
+        set_moduli, set_lcm, set_profile = self._setters
+        set_moduli(self, moduli)
+        set_lcm(self, lcm)
+        set_profile(self, profile)
 
     def __len__(self) -> int:
         return len(self.moduli)
 
 
 def moduli_tuple(moduli) -> ModuliTuple:
-    """Build a :class:`ModuliTuple` from a sequence of positive integers."""
+    """A :class:`ModuliTuple` of positive integers, each valuation read off by division; a ModuliTuple is kept."""
+    if isinstance(moduli, ModuliTuple):
+        return moduli
     ms = tuple(map(int, moduli))
     if not ms:
         raise DomainError("at least one modulus required")
     if min(ms) < 1:
         raise DomainError(f"moduli must be positive, got {ms}")
+    if len(ms) == 1:
+        flcm = factorize(ms[0])
+        return ModuliTuple(ms, flcm, tuple([(p, (e,)) for p, e in flcm.factors]))
     flcm = factorize(math.lcm(*ms))
-    profile = tuple([(p, tuple([_valuation(m, p) for m in ms])) for p, _ in flcm.factors])
-    return ModuliTuple(ms, flcm, profile)
-
-
-def _as_moduli_tuple(moduli) -> ModuliTuple:
-    return moduli if isinstance(moduli, ModuliTuple) else moduli_tuple(moduli)
+    profile = []
+    for p, _ in flcm.factors:
+        evec = []
+        for m in ms:
+            e = 0
+            while not m % p:
+                m //= p
+                e += 1
+            evec.append(e)
+        profile.append((p, tuple(evec)))
+    return ModuliTuple(ms, flcm, tuple(profile))
 
 
 def multiplicative_eval(local_rule, moduli):
@@ -252,7 +299,7 @@ def multiplicative_eval(local_rule, moduli):
     over the primes of lcm(moduli); for the all-ones tuple the empty
     product gives 1.
     """
-    mt = _as_moduli_tuple(moduli)
+    mt = moduli_tuple(moduli)
     out = 1
     for p, evec in mt.profile:
         out = out * local_rule(p, evec)

@@ -24,12 +24,12 @@ reduced by a gcd with D alone.
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from operator import floordiv, mul
 
+from .arith import _Record
 from .errors import DomainError, ScaleError
 from .products import _r_local, x_r_value
 
@@ -99,9 +99,9 @@ def euler_factor(r: int, p: int) -> float:
 
     Evaluated in double precision from the exact integer numerator
     p^(r+2) + p A + (-1)^r, since B = (-1)^r p^r; the pair is not built here.
-    r is not checked: ``alpha_r``, which calls this at every prime, caps it
-    once.
+    r is capped at 256, as in ``alpha_r``.
     """
+    _check_r(r, _ALPHA_R_CAP, "Euler factor")
     if p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
     pr = p**r
@@ -128,13 +128,18 @@ def alpha_r(r: int, prime_bound: int) -> float:
     0 <= alpha_r(r, P) - alpha_r < alpha_r(r, P) * (r + 1)/P, from the
     tail sum of (r + 1)/n^2 over n > P.  The odd-only prime sieve takes
     prime_bound/2 bytes; prime_bound is capped at 10^7 and r at 256.  Each product
-    is kept, a float per (r, prime_bound), since reports repeat them.
+    is kept, a float per (r, prime_bound), since reports repeat them.  The factors
+    are ``euler_factor``'s, bit for bit: its exact numerator, written as
+    (p - 1)(p^(r+1) + p (p - 1)^(r-1) + (-1)^r (p - 1)), over p^(r+2).
     """
     _check_alpha_args(r, prime_bound)
-    out = 1.0
-    for p in _primes_upto(prime_bound):
-        out *= euler_factor(r, p)
-    return out
+    sign = (-1) ** r
+
+    def factor(p):
+        q, u = p ** (r + 1), p - 1
+        return u * (q + p * u ** (r - 1) + sign * u) / (q * p)
+
+    return math.prod(map(factor, _primes_upto(prime_bound)), start=1.0)
 
 
 def _spf_table(x: int) -> array:
@@ -256,16 +261,14 @@ def dirichlet_decomposition_check(r: int, m_bound: int) -> bool:
     return conv[1:] == big_r[1:]
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(_Record):
     """Exact partial sum of g_r against its predicted main term."""
 
-    r: int
-    x: int
-    empirical: Fraction
-    predicted: float
-    ratio: float
-    alpha_truncation: int
+    __slots__ = _fields = ("r", "x", "empirical", "predicted", "ratio", "alpha_truncation")
+
+    def __init__(self, r: int, x: int, empirical: Fraction, predicted: float, ratio: float, alpha_truncation: int):
+        for set_field, value in zip(self._setters, (r, x, empirical, predicted, ratio, alpha_truncation)):
+            set_field(self, value)
 
 
 def asymptotic_report(r: int, x: int, prime_bound: int) -> AsymptoticReport:

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product as cartesian
 
@@ -38,21 +37,17 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class CommandRequest:
-    subcommand: str = ""
-    moduli: tuple[int, ...] | None = None
-    polys: tuple[str, ...] | None = None
-    shifts: tuple[int, ...] | None = None
-    a: int | None = None
-    r: int | None = None
-    x: int | None = None
-    prime_bound: int | None = None
-    strategy: str | None = None
-    format: str = "plain"
-    range_max: int | None = None
-    suite: str | None = None
-    max: int | None = None
+class CommandRequest(argparse.Namespace):
+    """One command's arguments, at these defaults until its subcommand's parser sets them.
+
+    ``moduli`` and ``shifts`` are int tuples, ``polys`` a tuple of texts.
+    """
+
+    def __init__(self, subcommand="", moduli=None, polys=None, shifts=None, a=None, r=None, x=None,
+                 prime_bound=None, strategy=None, format="plain", range_max=None, suite=None, max=None):
+        super().__init__(subcommand=subcommand, moduli=moduli, polys=polys, shifts=shifts, a=a, r=r, x=x,
+                         prime_bound=prime_bound, strategy=strategy, format=format, range_max=range_max,
+                         suite=suite, max=max)
 
 
 class _Parser(argparse.ArgumentParser):

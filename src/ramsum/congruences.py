@@ -20,12 +20,11 @@ reference.  The multiplicative strategy never calls it.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, cycle, islice, repeat
 from operator import mod, mul
 
-from .arith import ModuliTuple, _as_moduli_tuple
+from .arith import ModuliTuple, _Record, moduli_tuple
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
 
 _DIRECT_SCAN_CAP = 10**6
@@ -33,19 +32,20 @@ _DEGREE_CAP = 10**6
 _DIGIT_CAP = 4300  # CPython's default limit for int() of a decimal string
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Record):
     """Integer-coefficient polynomial; ``coeffs`` is constant-term first.
 
     Canonical form has no trailing zero coefficients; the zero polynomial
-    is the empty tuple.
+    is the empty tuple.  Weakly referenceable.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs", "__weakref__")
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if coeffs and coeffs[-1] == 0:
             raise DomainError("coefficients must not end in zero; strip to canonical form")
+        self._setters[0](self, coeffs)
 
     @property
     def degree(self) -> int:
@@ -57,18 +57,30 @@ def linear_shift_poly(a: int) -> IntPolynomial:
     return IntPolynomial((-a, 1))
 
 
+def _as_poly(g) -> IntPolynomial:
+    """A system element as a polynomial: itself, or the parse of its text."""
+    if isinstance(g, str):
+        return parse_polynomial(g)
+    if isinstance(g, IntPolynomial):
+        return g
+    raise DomainError(f"a system holds polynomials or their texts, not {type(g).__name__}")
+
+
+def _elements(system) -> tuple:
+    """The elements of a system; a lone polynomial or text is a system of one."""
+    items = (system,) if isinstance(system, (IntPolynomial, str)) else tuple(system)
+    if not items:
+        raise DomainError("a system needs at least one polynomial")
+    return items
+
+
 def as_poly_system(system) -> tuple[IntPolynomial, ...]:
     """Coerce a polynomial, a string, or a sequence of either to a tuple of polynomials.
 
     A string is parsed by ``parse_polynomial``, which parses each short,
-    low-degree text once.
+    low-degree text once; any other element is a DomainError.
     """
-    if isinstance(system, (IntPolynomial, str)):
-        system = (system,)
-    polys = tuple(parse_polynomial(g) if isinstance(g, str) else g for g in system)
-    if not polys:
-        raise DomainError("a system needs at least one polynomial")
-    return polys
+    return tuple([_as_poly(g) for g in _elements(system)])
 
 
 def as_system_and_moduli(system, moduli) -> tuple[tuple[tuple[int, ...], ...], ModuliTuple]:
@@ -76,23 +88,27 @@ def as_system_and_moduli(system, moduli) -> tuple[tuple[tuple[int, ...], ...], M
 
     The coefficients, constant term first, are the key that every route
     reads: the root counts, the class walk, the mu-convolution and the
-    definitional oracles.
+    definitional oracles.  The system is coerced as ``as_poly_system``
+    does, without building its tuple of polynomials.
     """
-    key = tuple(g.coeffs for g in as_poly_system(system))
-    mt = _as_moduli_tuple(moduli)
+    key = tuple([_as_poly(g).coeffs for g in _elements(system)])
+    mt = moduli_tuple(moduli)
     if len(key) != len(mt):
         raise DomainError(f"{len(key)} polynomials but {len(mt)} moduli")
     return key, mt
 
 
-@dataclass(frozen=True)
-class RootCount:
-    count: int
-    modulus: int
+class RootCount(_Record):
+    """The number ``count`` of roots of a congruence system mod ``modulus``."""
 
-    def __post_init__(self):
-        if not 0 <= self.count <= self.modulus:
-            raise DomainError(f"count {self.count} outside [0, {self.modulus}]")
+    __slots__ = _fields = ("count", "modulus")
+
+    def __init__(self, count: int, modulus: int):
+        if not 0 <= count <= modulus:
+            raise DomainError(f"count {count} outside [0, {modulus}]")
+        set_count, set_modulus = self._setters
+        set_count(self, count)
+        set_modulus(self, modulus)
 
 
 # Parses of texts of at most this many characters and degree at most
@@ -447,6 +463,8 @@ def _strip(coeffs, m: int):
     g = math.gcd(m, *coeffs)
     if g == m:
         return None
+    if g == 1:
+        return [c % m for c in coeffs], m
     m //= g
     return [c // g % m for c in coeffs], m
 
@@ -571,7 +589,8 @@ def _canonical_local(polys_key, p: int, avec: tuple[int, ...]) -> tuple:
                 while not h[-1]:
                     h.pop()
                 local.append((tuple(h), m, a))
-    local.sort()
+    if len(local) > 1:
+        local.sort()
     return tuple(local)
 
 

@@ -21,11 +21,10 @@ the spectral side of ``coprime_shift_sum`` is ``t_even`` of its one kernel.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
 
-from .arith import _as_moduli_tuple, divisors, euler_phi, factorize, mobius
+from .arith import _Record, divisors, euler_phi, factorize, mobius, moduli_tuple
 from .errors import ConsistencyError, DomainError, ScaleError
 from .ramanujan import ramanujan_row, ramanujan_sum
 
@@ -33,8 +32,7 @@ _T_DIRECT_CAP = 10**7
 _SHIFT_SUM_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class SEvenFunction:
+class SEvenFunction(_Record):
     """An s-even function stored by its values on the divisors of s.
 
     ``values`` is a copy of the given mapping in divisor order, converted to
@@ -42,20 +40,17 @@ class SEvenFunction:
     is keyed by exactly the divisors of s.
     """
 
-    s: int
-    values: dict
+    __slots__ = _fields = ("s", "values")
 
-    def __post_init__(self):
-        if self.s < 1:
-            raise DomainError(f"period must be positive, got {self.s}")
-        divs = divisors(self.s)
-        if set(self.values) != set(divs):
-            raise DomainError(f"values must be keyed by exactly the divisors of {self.s}")
-        values = {}
-        for d in divs:
-            v = self.values[d]
-            values[d] = v if type(v) is Fraction else Fraction(v)
-        object.__setattr__(self, "values", values)
+    def __init__(self, s: int, values: dict):
+        if s < 1:
+            raise DomainError(f"period must be positive, got {s}")
+        divs = divisors(s)
+        if set(values) != set(divs):
+            raise DomainError(f"values must be keyed by exactly the divisors of {s}")
+        set_s, set_values = self._setters
+        set_s(self, s)
+        set_values(self, {d: values[d] if type(values[d]) is Fraction else Fraction(values[d]) for d in divs})
 
     def __call__(self, n: int) -> Fraction:
         return self.values[math.gcd(n % self.s, self.s)]
@@ -213,7 +208,7 @@ def t_a(moduli, a: int, strategy: str = "closed") -> int:
     (capped at m <= 10^6, as the coprime shift sum is); "direct" iterates
     the defining grid (scale-capped).  All agree.
     """
-    mt = _as_moduli_tuple(moduli)
+    mt = moduli_tuple(moduli)
     m = mt.lcm.value
     r = len(mt)
     if strategy == "closed":

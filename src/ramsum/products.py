@@ -39,8 +39,8 @@ from itertools import compress, product as cartesian
 
 from .arith import (
     _as_factored,
-    _as_moduli_tuple,
     factorize,
+    moduli_tuple,
     multiplicative_eval,
 )
 from .congruences import (
@@ -238,8 +238,8 @@ def _poly_convolve(system, moduli, coprime: bool) -> int:
 
 def _shift_args(shifts, moduli):
     """The coefficients (-a_i, 1) of ``linear_shift_poly(a_i)``, and the moduli tuple."""
-    key = tuple((-int(a), 1) for a in shifts)
-    mt = _as_moduli_tuple(moduli)
+    key = tuple([(-int(a), 1) for a in shifts])
+    mt = moduli_tuple(moduli)
     if len(key) != len(mt):
         raise DomainError(f"{len(key)} shifts but {len(mt)} moduli")
     return key, mt

@@ -275,6 +275,50 @@ def test_moduli_tuple_profile():
         moduli_tuple(())
 
 
+# a prime above the trial-division bound 2^20, alone, squared and times small factors
+_BIG_PRIME = 1048583
+_MODULI = st.one_of(
+    st.integers(1, 5000),
+    st.just(1),
+    st.sampled_from((_BIG_PRIME, _BIG_PRIME * 12, _BIG_PRIME**2, 2**20, 3**13)),
+)
+
+
+@st.composite
+def _moduli_with_repeats(draw):
+    ms = draw(st.lists(_MODULI, min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(ms), max_size=3))
+    return draw(st.permutations(ms + repeats))
+
+
+def _merged_profile(ms, factorizations):
+    """Per prime of any m_i, ascending, the exponent vector read off each m_i's own factorization."""
+    own = [dict(f) for f in factorizations]
+    primes = sorted({p for f in own for p in f})
+    return tuple((p, tuple(f.get(p, 0) for f in own)) for p in primes)
+
+
+@given(_moduli_with_repeats())
+@settings(max_examples=300, deadline=None)
+def test_moduli_tuple_profile_merges_each_modulus_factorization(ms):
+    mt = moduli_tuple(ms)
+    assert mt.moduli == tuple(ms) and len(mt) == len(ms)
+    assert mt.lcm == factorize(math.lcm(*ms))
+    assert mt.profile == _merged_profile(ms, [factorize(m).factors for m in ms])
+    assert mt.profile == _merged_profile(ms, [sorted(sympy.factorint(m).items()) for m in ms])
+    assert moduli_tuple(mt) is mt
+
+
+def test_moduli_tuple_edge_profiles():
+    assert moduli_tuple((1,)).profile == moduli_tuple((1, 1, 1)).profile == ()
+    assert moduli_tuple((1, 12)).profile == ((2, (0, 2)), (3, (0, 1)))
+    assert moduli_tuple((_BIG_PRIME * 4,)).profile == ((2, (2,)), (_BIG_PRIME, (1,)))
+    assert moduli_tuple(("6", 4.0)).moduli == (6, 4)
+    for bad, message in (((), "^at least one modulus required$"), ((6, -2), "^moduli must be positive, got \\(6, -2\\)$")):
+        with pytest.raises(DomainError, match=message):
+            moduli_tuple(bad)
+
+
 def test_multiplicative_eval_phi_rule():
     def phi_local(p, evec):
         (e,) = evec

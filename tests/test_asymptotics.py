@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,40 @@ def test_r_caps(monkeypatch):
                 call(r, 100)
         with pytest.raises(ScaleError, match=f"^decomposition check capped at r <= 51, got {r}$"):
             dirichlet_decomposition_check(r, 100)
+
+
+def test_euler_factor_caps_r_in_bounded_memory():
+    # Unchecked, p^r at r = 2*10^10 raised MemoryError under a 1 GiB address
+    # space at p = 2 and ran past 100 s at p = 3; capped, both stop at once.
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ramsum import ScaleError, euler_factor\n"
+        "for p in (2, 3):\n"
+        "    try:\n"
+        "        euler_factor(2 * 10**10, p)\n"
+        "    except ScaleError as exc:\n"
+        "        print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == ["Euler factor capped at r <= 256, got 20000000000"] * 2
+    with pytest.raises(ScaleError, match="^Euler factor capped at r <= 256, got 257$"):
+        euler_factor(257, 2)
+    with pytest.raises(DomainError, match="^r must be >= 2, got 1$"):
+        euler_factor(1, 2)
+    assert euler_factor(256, 2) > 0
+
+
+def test_alpha_r_is_the_product_of_euler_factors_bit_for_bit():
+    # alpha_r forms each factor from its own exact numerator; the floats must
+    # be the ones the loop over euler_factor gives, in the same order
+    cases = [(r, bound) for r in (2, 3, 4, 7, 12) for bound in (1, 2, 3, 10, 997, 10**4, 10**6)]
+    cases += [(r, bound) for r in (50, 256) for bound in (2, 100, 10**4)]
+    for r, bound in cases:
+        out = 1.0
+        for p in _primes_upto(bound):
+            out *= euler_factor(r, p)
+        assert alpha_r(r, bound) == out and type(alpha_r(r, bound)) is float, (r, bound)
 
 
 def test_report_floats_stay_finite_up_to_the_r_cap():

@@ -14,10 +14,14 @@ from ramsum import (
     ScaleError,
     as_poly_system,
     count_roots,
+    e_g_direct,
+    e_g_fast,
     linear_shift_poly,
     parse_polynomial,
     poly_eval_mod,
     poly_values_mod,
+    r_g_direct,
+    r_g_fast,
 )
 from ramsum import congruences
 from ramsum.verify import _crt_solve as crt_solve
@@ -116,6 +120,22 @@ def test_as_poly_system_is_a_tuple_of_polynomials():
         assert str(err.value) == "a system needs at least one polynomial"
     with pytest.raises(DomainError, match="^a system needs at least one polynomial$"):
         count_roots((), ())
+
+
+def test_system_elements_that_are_not_polynomials_are_domain_errors():
+    calls = [
+        (e_g_fast, [5], "int"),
+        (count_roots, [None], "NoneType"),
+        (e_g_direct, [(1, 2)], "tuple"),
+        (r_g_fast, ("x", 1.5), "float"),
+        (r_g_direct, [b"x"], "bytes"),
+    ]
+    for call, system, kind in calls:
+        moduli = [6] * len(system)
+        with pytest.raises(DomainError, match=f"^a system holds polynomials or their texts, not {kind}$"):
+            call(system, moduli)
+    with pytest.raises(DomainError, match="not list"):
+        as_poly_system([["x"]])
 
 
 @st.composite
