@@ -177,6 +177,29 @@ def _rho(n: int, c: int, steps: int):
     return g, used
 
 
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 1, by Newton's iteration from above."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(x: int) -> tuple[int, int] | None:
+    """(y, k) with x = y^k for the least prime k, or None, for x without a prime factor below 2^20.
+
+    Such a y is at least 2^20, so k runs over the primes up to log2(x) / 20.
+    """
+    for k in range(2, x.bit_length() // 20 + 1):
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            y = _iroot(x, k)
+            if y**k == x:
+                return y, k
+    return None
+
+
 def _large_factors(n: int, m: int) -> list[tuple[int, int]]:
     """The factorization of the cofactor m of n, which has no prime factor below _TRIAL_BOUND."""
     primes, stack, budget = [], [m], _RHO_STEPS
@@ -187,9 +210,10 @@ def _large_factors(n: int, m: int) -> list[tuple[int, int]]:
                 raise ScaleError(f"cannot prove the factor {x} of {n} prime: above 3.3*10^24")
             primes.append(x)
             continue
-        root = math.isqrt(x)
-        if root * root == x:
-            stack += [root, root]
+        power = _perfect_power(x)
+        if power:
+            root, k = power
+            stack += [root] * k
             continue
         c, g = 1, x
         while g == x:
@@ -265,10 +289,20 @@ class ModuliTuple(_Record):
 
 
 def moduli_tuple(moduli) -> ModuliTuple:
-    """A :class:`ModuliTuple` of positive integers, each valuation read off by division; a ModuliTuple is kept."""
+    """A :class:`ModuliTuple` of positive integers, each valuation read off by division; a ModuliTuple is kept.
+
+    A modulus must be an ``int``: a float, a bool, a string or any other
+    object is a DomainError, as is a ``moduli`` that is not iterable.
+    """
     if isinstance(moduli, ModuliTuple):
         return moduli
-    ms = tuple(map(int, moduli))
+    try:
+        ms = tuple(moduli)
+    except TypeError:
+        raise DomainError(f"moduli must be a sequence of integers, not {type(moduli).__name__}") from None
+    for m in ms:
+        if m.__class__ is not int:
+            raise DomainError(f"moduli must be integers, got {type(m).__name__} {m!r}")
     if not ms:
         raise DomainError("at least one modulus required")
     if min(ms) < 1:

@@ -10,7 +10,10 @@ a Hensel tree instead of scanning residues.  The local factors of the
 product sums in ``products`` walk the same tree: ``_local_class_sum``
 sums over the classes on which the valuations v_p(g_i(x)) are constant,
 cached under the canonical form of the local system that
-``_canonical_local`` gives, so equivalent systems share one walk.
+``_canonical_local`` gives, so equivalent systems share one walk.  Both
+walks read two smaller caches: ``_condition``, each condition with its
+content stripped, and ``_scanned_roots``, the roots mod p that a scan of
+every residue finds.  Neither keeps a polynomial above degree 64.
 
 ``poly_values_mod`` is the one per-residue value kernel of the
 definitional scans (the direct root count here and the oracle rows of
@@ -68,7 +71,12 @@ def _as_poly(g) -> IntPolynomial:
 
 def _elements(system) -> tuple:
     """The elements of a system; a lone polynomial or text is a system of one."""
-    items = (system,) if isinstance(system, (IntPolynomial, str)) else tuple(system)
+    if isinstance(system, (IntPolynomial, str)):
+        return (system,)
+    try:
+        items = tuple(system)
+    except TypeError:
+        raise DomainError(f"a system holds polynomials or their texts, not {type(system).__name__}") from None
     if not items:
         raise DomainError("a system needs at least one polynomial")
     return items
@@ -420,38 +428,51 @@ def _fp_quadratic_roots(g: list, p: int) -> list:
 # A residue scan finds the roots mod p faster than x^p mod f when p is
 # below about this multiple of deg(f) * log2(p).
 _SCAN_PER_DEGREE_BIT = 4
+# The per-pass caches of the class walk keep conditions of at most this many
+# coefficients (degree _DIFFERENCE_MAX_DEGREE), as the parse cache does.
+_KEPT_LENGTH = 65
 
 
-def _common_roots(hs, p: int) -> list:
-    """The x in [0, p) with h(x) = 0 (mod p) for every h in hs."""
+def _common_roots(hs, p: int) -> tuple:
+    """The x in [0, p) with h(x) = 0 (mod p) for every h in hs; no h vanishes mod p."""
     fs = [_fp_trim([c % p for c in h]) for h in hs]
     low = min(fs, key=len)
     if len(low) == 2:
-        cands = (-low[0] * pow(low[1], -1, p) % p,)
-        if len(fs) == 1:
-            return list(cands)
-    elif len(low) == 1:
-        return []
-    elif p <= _SCAN_PER_DEGREE_BIT * (len(low) - 1) * p.bit_length():
-        cands = range(p)
-    else:
-        g = _fp_monic(low, p)
-        for f in fs:
-            g = _fp_gcd(g, f, p)
-            if len(g) == 1:
-                return []
-        if len(g) == 2:
-            return [-g[0] % p]
-        if len(g) == 3 and p > 2:
-            return _fp_quadratic_roots(g, p)
-        # gcd(g, x^p - x) is the product of the distinct x - r dividing g
-        xp = _fp_powmod([0, 1], p, g, p)
-        xp += [0] * (2 - len(xp))
-        xp[1] = (xp[1] - 1) % p
-        return _fp_split(_fp_gcd(g, xp, p) if _fp_trim(xp) else g, p)
+        root = -low[0] * pow(low[1], -1, p) % p
+        return () if len(fs) > 1 and any(_fp_eval(f, root, p) for f in fs) else (root,)
+    if len(low) == 1:
+        return ()
+    if p <= _SCAN_PER_DEGREE_BIT * (len(low) - 1) * p.bit_length():
+        key = tuple(map(tuple, fs))
+        if max(map(len, key)) <= _KEPT_LENGTH:
+            return _scanned_roots(key, p)
+        return _scanned_roots.__wrapped__(key, p)
+    g = _fp_monic(low, p)
+    for f in fs:
+        g = _fp_gcd(g, f, p)
+        if len(g) == 1:
+            return ()
+    if len(g) == 2:
+        return (-g[0] % p,)
+    if len(g) == 3 and p > 2:
+        return tuple(_fp_quadratic_roots(g, p))
+    # gcd(g, x^p - x) is the product of the distinct x - r dividing g
+    xp = _fp_powmod([0, 1], p, g, p)
+    xp += [0] * (2 - len(xp))
+    xp[1] = (xp[1] - 1) % p
+    return tuple(_fp_split(_fp_gcd(g, xp, p) if _fp_trim(xp) else g, p))
+
+
+# Bounded: one tabulate pass of the benchmark scans under 40 distinct
+# systems.  A key holds at most _KEPT_LENGTH residues mod p per polynomial,
+# and a scan runs only for p <= 4 * 64 * log2(p), that is p <= 3072.
+@lru_cache(maxsize=1024)
+def _scanned_roots(fs: tuple, p: int) -> tuple:
+    """The common roots in [0, p) of the polynomials fs over F_p, by a scan of every residue."""
     if len(fs) == 1:
-        return [x for x in cands if not _fp_eval(low, x, p)]
-    return [x for x in cands if not any(_fp_eval(f, x, p) for f in fs)]
+        (f,) = fs
+        return tuple([x for x in range(p) if not _fp_eval(f, x, p)])
+    return tuple([x for x in range(p) if not any(_fp_eval(f, x, p) for f in fs)])
 
 
 def _strip(coeffs, m: int):
@@ -526,7 +547,7 @@ def _local_root_count(polys_key, p: int, evec: tuple[int, ...], units_only: bool
     p^max(evec).
     """
     top = max(evec)
-    conds = [c for g, e in zip(polys_key, evec) if e and (c := _strip(g, p**e))]
+    conds = [(h, m) for h, m, _ in _conditions(polys_key, p, evec) if m > 1]
     stack = [(conds, top, units_only and top >= 1)]
     total = 0
     while stack:
@@ -571,27 +592,44 @@ def _canonical_local(polys_key, p: int, avec: tuple[int, ...]) -> tuple:
 
     The local factor at p depends only on the unordered pairs
     (g_i mod p^a_i, a_i) with a_i >= 1.  So the pairs with a_i = 0 are
-    dropped, each g_i is reduced mod p^a_i and written as p^c h with its
-    content p^c = gcd(p^a_i, coefficients) divided out, as the class walk
-    starts from it: h mod m = p^(a_i - c) without trailing zeros, or
-    ((), 1, a_i) when p^a_i divides every coefficient.  This is one to one
-    on the pairs, and the triples are sorted together, so that permuted
-    systems, g_i shifted by multiples of m_i and moduli 1 share one key.
+    dropped, and each other pair becomes the triple of ``_condition``.
+    This is one to one on the pairs, and the triples are sorted together,
+    so that permuted systems, g_i shifted by multiples of m_i and moduli 1
+    share one key.
     """
-    local = []
-    for g, a in zip(polys_key, avec):
-        if a:
-            c = _strip(g, p**a)
-            if c is None:
-                local.append(((), 1, a))
-            else:
-                h, m = c
-                while not h[-1]:
-                    h.pop()
-                local.append((tuple(h), m, a))
+    local = _conditions(polys_key, p, avec)
     if len(local) > 1:
         local.sort()
     return tuple(local)
+
+
+def _conditions(polys_key, p: int, avec: tuple[int, ...]) -> list:
+    """The triples of ``_condition`` of the pairs (g_i, a_i) with a_i >= 1, in order."""
+    return [
+        _condition(g, p, a) if len(g) <= _KEPT_LENGTH else _condition.__wrapped__(g, p, a)
+        for g, a in zip(polys_key, avec)
+        if a
+    ]
+
+
+# Bounded: one tabulate pass of the benchmark normalizes under 500 distinct
+# conditions, each of at most _KEPT_LENGTH coefficients.
+@lru_cache(maxsize=2048)
+def _condition(g, p: int, a: int) -> tuple:
+    """The condition g = 0 (mod p^a), a >= 1, as the class walk starts from it.
+
+    g is reduced mod p^a and written as p^c h with its content
+    p^c = gcd(p^a, coefficients) divided out: the triple is (h, m, a) with
+    h mod m = p^(a - c) without trailing zeros, or ((), 1, a) when p^a
+    divides every coefficient.
+    """
+    c = _strip(g, p**a)
+    if c is None:
+        return (), 1, a
+    h, m = c
+    while not h[-1]:
+        h.pop()
+    return tuple(h), m, a
 
 
 # Bounded: one pass of the benchmark's tabulate workload asks for under

@@ -14,6 +14,7 @@ from ramsum import (
     ScaleError,
     divisors,
     e_g_direct,
+    e_g_fast,
     euler_phi,
     factorize,
     mobius,
@@ -96,6 +97,17 @@ def test_factorize_raises_scale_error_past_its_budget():
     # two 60-bit primes: rho would need about 2^30 steps
     with pytest.raises(ScaleError, match="rho steps"):
         factorize(sympy.nextprime(2**60) * sympy.nextprime(2**61))
+
+
+def test_factorize_splits_perfect_powers_of_large_primes():
+    # 2^61 - 1 is prime; its cube and fifth power have no factor rho finds
+    # within its budget, but an integer root does
+    p = 2**61 - 1
+    assert factorize(p**3).factors == ((p, 3),)
+    assert factorize(p**5).factors == ((p, 5),)
+    q = 2**31 - 1
+    assert factorize(12 * q**2 * p**6).factors == ((2, 2), (3, 1), (q, 2), (p, 6))
+    assert factorize(p**2 * q).factors == ((q, 1), (p, 2))
 
 
 def _ramsum(*argv):
@@ -313,10 +325,20 @@ def test_moduli_tuple_edge_profiles():
     assert moduli_tuple((1,)).profile == moduli_tuple((1, 1, 1)).profile == ()
     assert moduli_tuple((1, 12)).profile == ((2, (0, 2)), (3, (0, 1)))
     assert moduli_tuple((_BIG_PRIME * 4,)).profile == ((2, (2,)), (_BIG_PRIME, (1,)))
-    assert moduli_tuple(("6", 4.0)).moduli == (6, 4)
-    for bad, message in (((), "^at least one modulus required$"), ((6, -2), "^moduli must be positive, got \\(6, -2\\)$")):
+    for bad, message in (
+        ((), "^at least one modulus required$"),
+        ((6, -2), "^moduli must be positive, got \\(6, -2\\)$"),
+        ((6, 4.5), "^moduli must be integers, got float 4.5$"),
+        ((6, 4.0), "^moduli must be integers, got float 4.0$"),
+        (("6", 4), "^moduli must be integers, got str '6'$"),
+        ((True, 4), "^moduli must be integers, got bool True$"),
+        ((6, None), "^moduli must be integers, got NoneType None$"),
+        (12, "^moduli must be a sequence of integers, not int$"),
+    ):
         with pytest.raises(DomainError, match=message):
             moduli_tuple(bad)
+    with pytest.raises(DomainError, match="^moduli must be integers, got float 4.9$"):
+        e_g_fast("x", [4.9])
 
 
 def test_multiplicative_eval_phi_rule():

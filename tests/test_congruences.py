@@ -4,7 +4,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramsum import (
@@ -134,6 +134,9 @@ def test_system_elements_that_are_not_polynomials_are_domain_errors():
         moduli = [6] * len(system)
         with pytest.raises(DomainError, match=f"^a system holds polynomials or their texts, not {kind}$"):
             call(system, moduli)
+    for system, kind in ((5, "int"), (None, "NoneType")):
+        with pytest.raises(DomainError, match=f"^a system holds polynomials or their texts, not {kind}$"):
+            e_g_fast(system, [6])
     with pytest.raises(DomainError, match="not list"):
         as_poly_system([["x"]])
 
@@ -438,6 +441,101 @@ def test_fp_divmod_is_euclidean_division(p):
             for j, fj in enumerate(f):
                 back[i + j] += qi * fj
         assert _fp_trim([c % p for c in back]) == a, (a, f, p)
+
+
+_PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@st.composite
+def _root_systems(draw):
+    """One to three polynomials of degree <= 4 over Z, each nonzero mod a prime p < 200."""
+    p = draw(st.sampled_from(_PRIMES_BELOW_200))
+    hs = []
+    for _ in range(draw(st.integers(1, 3))):
+        h = draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=5))
+        if not any(c % p for c in h):
+            h[draw(st.integers(0, len(h) - 1))] += 1
+        hs.append(h)
+    return hs, p
+
+
+@given(_root_systems())
+@example(([[1, 0, 1]], 2))  # x^2 + 1 = (x + 1)^2 mod 2
+@example(([[1, 1, 2], [0, 1, 0, 4]], 2))  # leading coefficients divisible by p
+@example(([[6, 5, 1, 0, 7]], 7))
+@example(([[1, 1], [2, 3, 5]], 5))  # degree 2 falls to 1 mod 5; two linear conditions
+@settings(max_examples=400, deadline=None)
+def test_cached_root_finder_equals_a_residue_scan(case):
+    hs, p = case
+    polys = [IntPolynomial(_trimmed(h)) for h in hs]
+    want = [x for x in range(p) if all(poly_eval_mod(g, x, p) == 0 for g in polys)]
+    for _ in range(2):  # the second call may read the cache
+        got = congruences._common_roots(hs, p)
+        assert type(got) is tuple and sorted(got) == want
+
+
+def _trimmed(h) -> tuple:
+    h = list(h)
+    while h and not h[-1]:
+        h.pop()
+    return tuple(h)
+
+
+def _reference_local(key, p, avec):
+    """_canonical_local from _strip alone, without its caches."""
+    local = []
+    for g, a in zip(key, avec):
+        if a:
+            c = congruences._strip(g, p**a)
+            local.append(((), 1, a) if c is None else (_trimmed(c[0]), c[1], a))
+    return tuple(sorted(local))
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(
+        st.tuples(st.lists(st.integers(-300, 300), min_size=1, max_size=5), st.integers(0, 4)), min_size=1, max_size=4
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_canonical_local_equals_a_reference_from_strip(p, pairs):
+    key = tuple(tuple(g) for g, _ in pairs)
+    avec = tuple(a for _, a in pairs)
+    want = _reference_local(key, p, avec)
+    assert congruences._canonical_local(key, p, avec) == want
+    assert congruences._canonical_local(key[::-1], p, avec[::-1]) == want
+
+
+def test_canonical_local_strips_contents_and_trailing_zeros():
+    canonical = congruences._canonical_local
+    # 8 + 16x has content 8 = 2^3, the whole of 2^3: the condition always holds
+    assert canonical(((8, 16),), 2, (3,)) == (((), 1, 3),)
+    # 4 + 8x + 12x^2 = 4 (1 + 2x + 3x^2); mod 2^3 / 4 = 2 the last coefficient is 1
+    assert canonical(((4, 8, 12),), 2, (3,)) == (((1, 0, 1), 2, 3),)
+    # 1 + x + 9x^2 mod 9 drops its trailing zero
+    assert canonical(((1, 1, 9),), 3, (2,)) == (((1, 1), 9, 2),)
+    key, avec = ((1, 1, 9), (8, 16), (0, 1), (5,)), (2, 3, 1, 0)
+    for perm in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)):
+        assert canonical(tuple(key[i] for i in perm), 3, tuple(avec[i] for i in perm)) == _reference_local(key, 3, avec)
+
+
+def test_caches_keep_no_condition_above_degree_64():
+    caches = (congruences._condition, congruences._scanned_roots)
+    for cache in caches:
+        cache.cache_clear()
+    # degree 65 at p = 3: the condition and the residue scan are computed, not kept
+    g = (1,) + (0,) * 64 + (1,)
+    assert congruences._canonical_local((g,), 3, (2,)) == _reference_local((g,), 3, (2,))
+    assert congruences._common_roots([g], 3) == (2,)
+    poly = IntPolynomial(g)
+    assert e_g_fast(poly, (9,)) == e_g_direct(poly, (9,))
+    assert r_g_fast(poly, (27,)) == r_g_direct(poly, (27,))
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    # degree 64 is kept
+    g = (1,) + (0,) * 63 + (1,)
+    congruences._canonical_local((g,), 3, (2,))
+    assert congruences._common_roots([g], 3) == ()
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
 
 
 def test_count_roots_direct_scale_guard():

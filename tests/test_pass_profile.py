@@ -27,3 +27,17 @@ def test_pass_profile_prints_cache_hits_and_misses():
     rows = {line.split()[0]: tuple(map(int, line.split()[1:])) for line in lines[head + 1 :]}
     assert rows["congruences._local_class_sum"] == (1276, 571)
     assert "arith.factorize" in rows and "products._poly_c_values" in rows
+
+
+def test_the_benchmark_clears_the_class_walk_caches():
+    # run.py clears every cache that lru_caches finds before each pass, so
+    # each pass starts the per-condition and residue-scan caches cold
+    bench = _TOOL.parent.parent / "perfbench"
+    code = (
+        f"import sys; sys.path.insert(0, {str(bench)!r}); import run; "
+        "print(*sorted(run.lru_caches(run.import_ramsum())))"
+    )
+    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = done.stdout.split()
+    assert "congruences._condition" in names and "congruences._scanned_roots" in names
