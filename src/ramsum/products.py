@@ -9,11 +9,13 @@ For a system G = (g_1, ..., g_r) of integer polynomials and moduli
     k coprime to m (no averaging).
 
 The direct oracles sum that product at every residue.  Each factor is a
-row c_{m_i}(g_i(x)), x mod m_i, read off c_{m_i}'s row at the values
-g_i(x) mod m_i that ``congruences.poly_values_mod`` tabulates by forward
-differences; for a monic linear x + b the values run b, b+1, ..., so the
-row is c_{m_i}'s row rotated by b, an index identity that uses no property
-of c_m.
+row c_{m_i}(g_i(x)), x mod m_i, read off c_{m_i}'s row at the indices
+g_i(x) mod m_i.  For a linear a*x + b the indices run b, b + a, b + 2a,
+... mod m_i, so the row is c_{m_i}'s row read with stride a mod m_i from
+b mod m_i (a rotation for a = 1), an index identity that uses no property
+of c_m, in slices while each pass over the row is at least 4 entries long;
+any other g_i, and a linear of shorter passes, is read at the values that
+``congruences.poly_values_mod`` tabulates by forward differences.
 
 The fast paths evaluate the sums prime by prime.  Since
 c_{p^a}(n) = p^a [p^a | n] - p^(a-1) [p^(a-1) | n], each factor at p
@@ -33,9 +35,11 @@ hold the walk equal to them.  ``r_prime_power`` evaluates the
 all-ones-shift function R on prime-power tuples directly.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress, product as cartesian
+from itertools import chain, compress, product as cartesian, repeat
+from operator import getitem
 
 from .arith import (
     _as_factored,
@@ -63,21 +67,60 @@ _ORACLE_CAP = 10**6
 # definitional oracles
 
 
+# A linear row read in slices costs one Python-level step per pass over c_m's
+# row, read through the index map one C-level step per entry: the slices are
+# as fast at 4 entries a pass and twice as fast at 8 (m = 1000 and 17756,
+# 2-core x86_64, Python 3.11), so shorter passes go through the map.
+_MIN_PASS_LENGTH = 4
+
+
+def _strided_slices(row: tuple, b: int, s: int):
+    """Slices of row that join to row[(b + s*x) mod m] for x = 0..m-1.
+
+    Here m = len(row), 0 <= b < m and 0 < s < m.  Each slice is one pass
+    over the row, so there are about s of them, or m - s of the reversed
+    row when s > m/2.
+    """
+    m = len(row)
+    if 2 * s > m:
+        row, b, s = row[::-1], m - 1 - b, m - s
+    left = m
+    while left:
+        part = row[b : b + s * left : s]
+        yield part
+        left -= len(part)
+        b = (b + s * len(part)) % m
+
+
 @lru_cache(maxsize=1024)
 def _poly_c_values(coeffs: tuple[int, ...], m: int):
     """c_m(g(x)) for x = 0..m-1, as a tuple plus its max abs (at least 1).
 
-    The row of c_m is indexed by the values g(x) mod m from
-    ``poly_values_mod``; for a monic linear x + b that index sequence is
-    b, b+1, ..., so the row is the rotation of c_m's row by b mod m, and
-    its max abs is c_m(0) = phi(m), since |c_m(n)| <= phi(m).
+    Each value is c_m's row read at g(x) mod m.  A linear a*x + b reads
+    the row with stride s = a mod m from b mod m, an index identity that
+    uses no property of c_m: a rotation when s = 1, and slices of the
+    cycled row while a pass over it is at least 4 entries long.  Any other
+    g, and a linear of shorter passes, reads the row at the values of
+    ``poly_values_mod``, looked up one by one at C level
+    (``operator.getitem``), with no index table held.  Since
+    |c_m(n)| <= phi(m) = c_m(0), the max abs is phi(m) whenever +-phi(m)
+    occurs among the entries read, and is scanned for otherwise; slices
+    read the entries at the indices = b (mod gcd(a, m)), each as often.
     """
     row = ramanujan_row(m)
-    if len(coeffs) == 2 and coeffs[1] == 1:
+    s = coeffs[1] % m if len(coeffs) == 2 else 0
+    if s == 1:
         b = coeffs[0] % m
         return row[b:] + row[:b], row[0]
-    vals = tuple(map(row.__getitem__, poly_values_mod(IntPolynomial(coeffs), m)))
-    return vals, max(1, max(map(abs, vals)))
+    if s and m // min(s, m - s) >= _MIN_PASS_LENGTH:
+        b = coeffs[0] % m
+        vals = tuple(chain.from_iterable(_strided_slices(row, b, s)))
+        g = math.gcd(s, m)
+        seen = row[b % g :: g]
+    else:
+        vals = seen = tuple(map(getitem, repeat(row), poly_values_mod(IntPolynomial(coeffs), m)))
+    top = row[0]
+    return vals, top if top in seen or -top in seen else max(1, max(map(abs, seen)))
 
 
 def _product_sum(key, mt, coprime_only: bool) -> int:

@@ -329,6 +329,15 @@ def test_r_past_its_cap_exits_3_in_bounded_memory(argv, message):
     assert (done.returncode, done.stdout, done.stderr) == (3, "", f"ramsum: scale error: {message}\n")
 
 
+@pytest.mark.parametrize("command,want", [("E", "2\n"), ("roots", "N=3 eta=3 (mod 1000003)\n")])
+def test_sparse_high_degree_ends_in_seconds(command, want):
+    # a residue scan of x^20000 + x + 1 mod 10^6 + 3 takes 2 * 10^10 Horner
+    # steps (minutes); x^p mod f answers in under a second
+    argv = [command, "--moduli", "1000003", "--polys", "x^20000+x+1"]
+    done = subprocess.run([sys.executable, "-m", "ramsum", *argv], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, want), done.stderr
+
+
 # Run in one process, in this order, then each in a fresh process: one parser
 # serves them all, across a usage error and a JSON-mode domain error.
 _IN_PROCESS_SEQUENCE = (

@@ -160,6 +160,29 @@ def test_poly_values_mod_equals_horner(case):
     assert list(poly_values_mod(g, n)) == [poly_eval_mod(g, x, n) for x in range(n)]
 
 
+@st.composite
+def _deep_nests(draw):
+    # degrees up to the deepest nest, small or huge coefficients, and a leading
+    # coefficient that often makes the top difference d! * lead vanish mod n
+    n = draw(st.integers(2, 1500))
+    d = draw(st.integers(1, min(n - 1, 64)))
+    coeff = st.one_of(st.integers(-50, 50), st.integers(-(10**80), 10**80))
+    rest = [draw(coeff) for _ in range(d)]
+    lead = draw(st.one_of(coeff, st.integers(1, 5).map(lambda k: k * n // math.gcd(math.factorial(d), n))))
+    return IntPolynomial(tuple(rest) + (lead or 1,)), n
+
+
+@given(_deep_nests())
+@example((IntPolynomial((0, 0, 1)), 2))  # Delta^2 g = 2 = 0 (mod 2)
+@example((IntPolynomial((3, 5)), 5))  # a constant row mod 5
+@example((IntPolynomial((-1, -4 * 10**13)), 10**5))  # a descending progression
+@example((IntPolynomial((7,) * 64 + (10**100,)), 1000))
+@settings(max_examples=200, deadline=None)
+def test_poly_values_mod_equals_horner_on_deep_nests(case):
+    g, n = case
+    assert list(poly_values_mod(g, n)) == [poly_eval_mod(g, x, n) for x in range(n)]
+
+
 def test_poly_values_mod_edge_cases():
     # zero polynomial, constants, n = 1, deg = n - 1, and the Horner fallback
     # for deg >= n and for degrees 65 and 200, past the deepest difference nest
@@ -472,6 +495,55 @@ def test_cached_root_finder_equals_a_residue_scan(case):
     for _ in range(2):  # the second call may read the cache
         got = congruences._common_roots(hs, p)
         assert type(got) is tuple and sorted(got) == want
+
+
+def _no_scan(*args):
+    raise AssertionError("a residue scan past its budget")
+
+
+_no_scan.__wrapped__ = _no_scan
+
+
+@st.composite
+def _sparse_high_degree(draw):
+    # one or two sparse polynomials of degree 2500-6000 at a prime p <= 3000:
+    # a scan would take p * (deg + 1) > 10^6 steps, so x^p mod f decides
+    p = draw(st.sampled_from((401, 1009, 1013, 2003, 2999)))
+    system = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = {draw(st.integers(2500, 6000)): 1}
+        for _ in range(draw(st.integers(1, 3))):
+            terms[draw(st.integers(0, 30))] = draw(st.integers(-5, 5))
+        system.append(terms)
+    return system, p
+
+
+@given(_sparse_high_degree())
+@example(([{3000: 1, 7: -1}], 1009))  # x^7 (x^2993 - 1): roots 0 and 1
+@example(([{3000: 1, 1: 1, 0: 1}, {4000: 1, 1: -1}], 1009))
+@settings(max_examples=60, deadline=None)
+def test_sparse_high_degree_roots_skip_the_scan_and_equal_it(case):
+    system, p = case
+    hs = []
+    for terms in system:
+        h = [0] * (max(terms) + 1)
+        for e, c in terms.items():
+            h[e] += c
+        hs.append(h)
+    want = [x for x in range(p) if all(sum(c * pow(x, e, p) for e, c in t.items()) % p == 0 for t in system)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(congruences, "_scanned_roots", _no_scan)
+        assert sorted(congruences._common_roots(hs, p)) == want
+
+
+def test_scan_budget_keeps_every_choice_up_to_degree_64():
+    # degree 64 at 3067, the largest prime p with p <= 4 * 64 * log2(p), still scans
+    cache = congruences._scanned_roots
+    cache.cache_clear()
+    g = [1, 1] + [0] * 62 + [1]
+    want = tuple(x for x in range(3067) if poly_eval_mod(IntPolynomial(tuple(g)), x, 3067) == 0)
+    assert congruences._common_roots([g], 3067) == want
+    assert cache.cache_info().currsize == 1
 
 
 def _trimmed(h) -> tuple:

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "pass_profile.py"
 
 
@@ -41,3 +43,18 @@ def test_the_benchmark_clears_the_class_walk_caches():
     assert done.returncode == 0, done.stderr
     names = done.stdout.split()
     assert "congruences._condition" in names and "congruences._scanned_roots" in names
+
+
+@pytest.mark.parametrize("lines_read", [1, 0])
+def test_pass_profile_is_quiet_when_its_reader_closes_early(lines_read):
+    # a reader that closes after the first line, as `| head -1` does, or
+    # before any: the rest of the report and the flush at exit go nowhere,
+    # with no traceback, and the exit status is still the digest check's
+    argv = [sys.executable, str(_TOOL), "--workload", "deep-moduli", "--seed", "1", "--passes", "1"]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = [child.stdout.readline() for _ in range(lines_read)]
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=120) == 0, err
+    assert err == ""
+    assert all(line.endswith(b"outputs match the recorded digest\n") for line in first)

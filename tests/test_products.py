@@ -52,20 +52,44 @@ def shift_polys(shifts):
 
 
 def test_poly_c_values_on_linears_is_the_definition():
-    # monic linears take the rotation of c_m's row, whose max abs is c_m(0) = phi(m);
-    # 2x + b (2x - 1 at b = -1), -x + b and the quadratics x^2 - 1, x^2 + x + 1
-    # take the forward differences
+    # a linear a*x + b reads c_m's row with stride a mod m from b mod m, in
+    # slices or through the index map: every a mod m in 0..m-1 (0 gives a
+    # constant row, gcd(a, m) > 1 repeats a shorter period, a > m/2 reads the
+    # reversed row), negative and huge a and b, and m = 1; the quadratics
+    # x^2 - 1, x^2 + x + 1 and a cubic take poly_values_mod.  The max abs is
+    # phi(m) exactly when +-phi(m) is read
     from ramsum.products import _poly_c_values
 
-    linears = [(b, a) for b in (0, 1, -1, 5, -13, 10**60 + 3, -(10**100) - 11) for a in (1, 2, -1)]
-    for coeffs in linears + [(-1, 0, 1), (1, 1, 1)]:
-        for m in (1, 2, 4, 6, 9, 12, 30, 97):
-            vals, vmax = _poly_c_values(coeffs, m)
-            want = tuple(ramanujan_sum(m, poly_eval_mod(IntPolynomial(coeffs), x, m)) for x in range(m))
-            assert vals == want, (coeffs, m)
-            assert vmax == max(1, max(map(abs, want)))
-            if coeffs[1:] == (1,):
-                assert vmax == euler_phi(m)
+    def check(coeffs, m, table):
+        vals, vmax = _poly_c_values.__wrapped__(coeffs, m)
+        want = tuple(table[poly_eval_mod(IntPolynomial(coeffs), x, m)] for x in range(m))
+        assert vals == want, (coeffs, m)
+        assert vmax == max(1, max(map(abs, want))), (coeffs, m)
+        return vmax
+
+    for m in (1, 2, 4, 6, 9, 12, 30, 97):
+        table = [ramanujan_sum(m, n) for n in range(m)]
+        for k in range(m):
+            for a in (k or m, k - m, k - 3 * m, k + 10**50 * m, k - 10**80 * m):
+                for b in (0, 1, -1, 5, -13, 10**60 + 3, -(10**100) - 11):
+                    vmax = check((b, a), m, table)
+                    if math.gcd(a, m) == 1:
+                        assert vmax == euler_phi(m)
+        for coeffs in ((-1, 0, 1), (1, 1, 1), (5, -3, 0, 2), (10**40 + 1, 7, 10**30 + 3)):
+            check(coeffs, m, table)
+    # long passes, forwards and reversed, and strides on both sides of the
+    # shortest pass read in slices (m // 4 has passes of 4 entries, m // 4 + 1 of 3)
+    m = 2 * 2053
+    table = [ramanujan_sum(m, n) for n in range(m)]
+    for a in (2, 3, 5, m // 4, m // 4 + 1, m - m // 4, m - m // 4 - 1, m // 2 - 1, m // 2 + 1, m - 3):
+        for b in (0, 1, 1030, m - 1):
+            check((b, a), m, table)
+    # x^2 + x + 1 has no root mod 2 or mod 5: mod 2 it reads c_2(1) = -phi(2),
+    # mod 5 only c_5(n) = -1 for n != 0, so the scan finds 1, not phi(5) = 4
+    assert check((1, 1, 1), 2, [1, -1]) == 1
+    assert check((1, 1, 1), 5, [4, -1, -1, -1, -1]) == 1
+    # 2x + 1 mod 4 reads only c_4(1) = c_4(3) = 0
+    assert check((1, 2), 4, [2, 0, -2, 0]) == 1
 
 
 def _plain_loop(polys, moduli):

@@ -20,6 +20,7 @@ only.
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -90,16 +91,22 @@ def main(argv=None):
         ok = digests == {recorded}
         verdict = "match the recorded digest" if ok else "DIFFER from the recorded digest"
 
-    print(f"workload {args.workload} seed {args.seed}: {len(evals)} evaluations, {args.passes} passes, "
-          f"caches cleared before each; outputs {verdict}")
-    print(f"{'kind':<22}{'per pass':>9}{'median ms':>12}")
-    rows = sorted(((statistics.median(p[0].get(k, 0.0) for p in passes), k) for k in counts), reverse=True)
-    for seconds, key in rows:
-        print(f"{key:<22}{counts[key]:>9}{seconds * 1e3:>12.3f}")
-    print(f"{'pass':<22}{len(evals):>9}{statistics.median(p[1] for p in passes) * 1e3:>12.3f}")
-    print(f"{'cache':<36}{'hits':>9}{'misses':>9}")
-    for name, (hits, misses) in sorted(stats.items()):
-        print(f"{name:<36}{hits:>9}{misses:>9}")
+    try:
+        print(f"workload {args.workload} seed {args.seed}: {len(evals)} evaluations, {args.passes} passes, "
+              f"caches cleared before each; outputs {verdict}")
+        print(f"{'kind':<22}{'per pass':>9}{'median ms':>12}")
+        rows = sorted(((statistics.median(p[0].get(k, 0.0) for p in passes), k) for k in counts), reverse=True)
+        for seconds, key in rows:
+            print(f"{key:<22}{counts[key]:>9}{seconds * 1e3:>12.3f}")
+        print(f"{'pass':<22}{len(evals):>9}{statistics.median(p[1] for p in passes) * 1e3:>12.3f}")
+        print(f"{'cache':<36}{'hits':>9}{'misses':>9}")
+        for name, (hits, misses) in sorted(stats.items()):
+            print(f"{name:<36}{hits:>9}{misses:>9}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``| head -1``): the rest of the report,
+        # and the flush at exit, go to devnull; the digest check still decides.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if ok else 1
 
 
