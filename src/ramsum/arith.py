@@ -7,6 +7,7 @@ variables.  Everything is exact, in unbounded Python integers.
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 from .errors import DomainError, ScaleError
 
@@ -224,6 +225,26 @@ def _large_factors(n: int, m: int) -> list[tuple[int, int]]:
             c += 1
         stack += [g, x // g]
     return sorted((p, primes.count(p)) for p in set(primes))
+
+
+def _primes_upto(bound: int) -> list[int]:
+    """The primes p <= bound, ascending.
+
+    The sieve holds the odd numbers only, byte i for 2i + 1, so it takes
+    about bound/2 bytes; an odd prime q strikes q^2, q^2 + 2q, ..., at
+    bytes (q^2 - 1)/2 + k q.
+    """
+    if bound < 2:
+        return []
+    half = (bound + 1) // 2
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
+        if sieve[i]:
+            q = 2 * i + 1
+            start = q * q // 2
+            sieve[start::q] = bytes((half - 1 - start) // q + 1)
+    return [2, *compress(range(1, bound + 1, 2), sieve)]
 
 
 def _as_factored(n) -> FactoredNat:

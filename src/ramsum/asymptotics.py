@@ -29,16 +29,16 @@ from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from operator import floordiv, mul
 
-from .arith import _Record
+from .arith import _primes_upto, _Record
 from .errors import DomainError, ScaleError
-from .products import _r_local, x_r_value
+from .products import _R_CAP, _r_local, x_r_value
 
 _SIEVE_CAP = 10**6
 _DIRICHLET_CAP = 10**4
 _PRIME_BOUND_CAP = 10**7
 # r is capped before any sieve or power is built.  The Euler product forms
 # p^r for every prime p up to 10^7: alpha_r(256, 10^7) takes about 7 s.
-_ALPHA_R_CAP = 256
+# The cap is ``products._R_CAP``, shared with x_r_value, h_value and g_r_value.
 # The sieves hold R(m), about r log2(m) bits, at every m <= x, and the report
 # forms x^r in double precision: 10^(6r) < 2^1024 exactly when r <= 51.
 _SIEVE_R_CAP = 51
@@ -67,31 +67,11 @@ def euler_factor_data(r: int, p: int) -> tuple[int, int]:
     So A = R(p) - p^r = x_r(p) - p^r, and B = R(p^2) - p^r x_r(p) =
     p^r (p(p-1)h_r(p) - x_r(p)), where p(p-1)h_r(p) - x_r(p) = (-1)^r.
     """
-    _check_r(r, _ALPHA_R_CAP, "Euler factor")
+    _check_r(r, _R_CAP, "Euler factor")
     if p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
     pr = p**r
     return x_r_value(r, p) - pr, (-1) ** r * pr
-
-
-def _primes_upto(bound: int) -> list[int]:
-    """The primes p <= bound, ascending.
-
-    The sieve holds the odd numbers only, byte i for 2i + 1, so it takes
-    about bound/2 bytes; an odd prime q strikes q^2, q^2 + 2q, ..., at
-    bytes (q^2 - 1)/2 + k q.
-    """
-    if bound < 2:
-        return []
-    half = (bound + 1) // 2
-    sieve = bytearray([1]) * half
-    sieve[0] = 0
-    for i in range(1, (math.isqrt(bound) + 1) // 2):
-        if sieve[i]:
-            q = 2 * i + 1
-            start = q * q // 2
-            sieve[start::q] = bytes((half - 1 - start) // q + 1)
-    return [2, *compress(range(1, bound + 1, 2), sieve)]
 
 
 def euler_factor(r: int, p: int) -> float:
@@ -101,7 +81,7 @@ def euler_factor(r: int, p: int) -> float:
     p^(r+2) + p A + (-1)^r, since B = (-1)^r p^r; the pair is not built here.
     r is capped at 256, as in ``alpha_r``.
     """
-    _check_r(r, _ALPHA_R_CAP, "Euler factor")
+    _check_r(r, _R_CAP, "Euler factor")
     if p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
     pr = p**r
@@ -110,7 +90,7 @@ def euler_factor(r: int, p: int) -> float:
 
 
 def _check_alpha_args(r: int, prime_bound: int) -> None:
-    _check_r(r, _ALPHA_R_CAP, "Euler product")
+    _check_r(r, _R_CAP, "Euler product")
     if prime_bound < 1:
         raise DomainError(f"prime bound must be >= 1, got {prime_bound}")
     if prime_bound > _PRIME_BOUND_CAP:
@@ -193,10 +173,12 @@ def _r_locals(r: int, primes: list[int], bound: int) -> tuple[dict, dict, dict]:
     R(p^e) = p^e p^((e-1)(r-1)) (p-1) h_r(p), so R(p^(e+1)) = p^r R(p^e).
     R(p) is given at every p in primes, the other two at p <= bound.
     R(p^2) comes from ``products._r_local``; R(p) is its e = 1 case,
-    x_r(p), called directly so that no tuple is built per prime.
+    x_r(p) = (p-1)^r + (-1)^r (p-2), written out here so that no call or
+    cap check is paid per prime: the callers have checked r already.
     """
     small = primes[: bisect_right(primes, bound)]
-    at_p = {p: x_r_value(r, p) for p in primes}
+    sign = (-1) ** r
+    at_p = {p: (p - 1) ** r + sign * (p - 2) for p in primes}
     at_p2 = {p: _r_local(p, (2,) * r) for p in small}
     return at_p, at_p2, {p: p**r for p in small}
 

@@ -15,14 +15,25 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterator
 from functools import lru_cache, partial
-from itertools import product as cartesian
+from itertools import islice, product as cartesian
 
 from .asymptotics import alpha_r, asymptotic_report
 from .congruences import as_poly_system, count_roots, linear_shift_poly, parse_polynomial
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
 from .even import t_a
-from .products import e_g_direct, e_g_fast, e_shift, r_g_direct, r_g_fast, r_shift
+from .products import (
+    _product_sum_table,
+    _ramanujan_table,
+    _shift_key,
+    e_g_direct,
+    e_g_fast,
+    e_shift,
+    r_g_direct,
+    r_g_fast,
+    r_shift,
+)
 from .ramanujan import ramanujan_sum
 from .verify import run_suite, suite_names
 
@@ -190,18 +201,24 @@ def parse_args(argv) -> CommandRequest:
 _RANGE_CAP = 10**6
 
 
+def _arity(req: CommandRequest) -> int:
+    """The number of moduli in a row of the request's table."""
+    if req.subcommand == "c":
+        return 1
+    if req.subcommand == "T":
+        return req.r or 1
+    return len(req.polys or req.shifts)
+
+
 def _tuple_space(req: CommandRequest):
     """The moduli tuples of a --range table; ScaleError above _RANGE_CAP rows or moduli a row.
 
     The row count N^arity is multiplied up one factor at a time and
-    checked after each, so no large power is ever formed.
+    checked after each, so no large power is ever formed.  A table of one
+    modulus a row pairs the moduli up lazily, since ``itertools.product``
+    would hold all of them.
     """
-    if req.subcommand == "c":
-        arity = 1
-    elif req.subcommand == "T":
-        arity = req.r or 1
-    else:
-        arity = len(req.polys or req.shifts)
+    arity = _arity(req)
     n, rows = req.range_max, 1
     if arity > _RANGE_CAP:
         raise ScaleError(f"--range row of {arity} moduli exceeds 10^6 moduli")
@@ -209,6 +226,8 @@ def _tuple_space(req: CommandRequest):
         rows *= n
         if rows > _RANGE_CAP:
             raise ScaleError(f"--range {n} over {arity} moduli exceeds 10^6 table rows")
+    if arity == 1:
+        return zip(range(1, n + 1))
     return cartesian(range(1, n + 1), repeat=arity)
 
 
@@ -233,6 +252,24 @@ def _evaluator(req: CommandRequest):
     return partial(direct if req.strategy == "direct" else fast, system)
 
 
+def _table_values(req: CommandRequest, tuples) -> list:
+    """The value of every row of a --range table, in the order of ``tuples``.
+
+    c_n(a), E_G and R_G are multiplicative in the moduli, so a ``c`` table
+    and a fast ``E``/``R`` table are one box sieve each; a ``--strategy
+    direct`` table and a ``T`` table evaluate tuple by tuple.
+    """
+    if req.subcommand == "c":
+        return _ramanujan_table(req.a, req.range_max)
+    if req.subcommand == "T" or req.strategy == "direct":
+        return list(map(_evaluator(req), tuples))
+    if req.shifts is not None:
+        key = _shift_key(req.shifts)
+    else:
+        key = tuple([g.coeffs for g in as_poly_system(req.polys)])
+    return _product_sum_table(key, req.range_max, req.subcommand == "R")
+
+
 def _inputs(req: CommandRequest, moduli) -> dict:
     if req.subcommand == "c":
         cols = {"n": moduli[0]}
@@ -255,14 +292,41 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _emit_rows(req: CommandRequest, header: list, rows: list) -> str:
-    """One table row per moduli tuple; each row lists its values in header order."""
+# A table is written in chunks of this many rows, so no more text than a chunk is held.
+_CHUNK_ROWS = 4096
+
+
+def _emit_rows(req: CommandRequest, header: list, rows):
+    """A table, one row per moduli tuple, as chunks of text that join to the output.
+
+    Each row lists its values in header order.  The rows are read and
+    formatted one chunk at a time; the output ends in one newline, as
+    ``print`` of the whole text would end it.  JSON keys are sorted, so
+    the payload's "rows" come before its "subcommand", and a chunk's rows
+    are the inside of the list of their objects.
+    """
+    rows = iter(rows)
+    chunks = iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
     if req.format == "json":
-        payload = {"subcommand": req.subcommand, "rows": [dict(zip(header, row)) for row in rows]}
-        return json.dumps(payload, sort_keys=True)
-    if req.format == "csv":
-        return _csv_text(header, rows)
-    return "\n".join(" ".join(f"{k}={v}" for k, v in zip(header, row)) for row in rows)
+        encode = json.JSONEncoder(sort_keys=True).encode
+        sep = '{"rows": ['
+        for chunk in chunks:
+            yield sep + encode([dict(zip(header, row)) for row in chunk])[1:-1]
+            sep = ", "
+        yield f'], "subcommand": {encode(req.subcommand)}}}\n'
+    elif req.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for chunk in chunks:
+            writer.writerows(chunk)
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    else:
+        line = " ".join([f"{k}={{}}" for k in header]).format
+        for chunk in chunks:
+            yield "\n".join([line(*row) for row in chunk]) + "\n"
 
 
 def _emit_scalar(req: CommandRequest, inputs: dict, outputs: dict, plain: str) -> str:
@@ -303,17 +367,24 @@ def _decimal(n: int) -> str:
     return digits(n, n.bit_length() * 30103 // 100000 + 1).lstrip("0") or "0"
 
 
-def execute(req: CommandRequest) -> tuple[int, str]:
-    """Run a validated request; returns (exit status, formatted output)."""
+def execute(req: CommandRequest) -> tuple[int, str | Iterator[str]]:
+    """Run a validated request; returns (exit status, formatted output).
+
+    The output of a --range table is an iterator of text chunks, made
+    after every value of the table is computed; any other output is one
+    string.
+    """
     cmd = req.subcommand
     if cmd in ("c", "E", "R", "T"):
-        evaluate = _evaluator(req)
         if req.range_max is None:
-            value = evaluate(req.moduli)
+            value = _evaluator(req)(req.moduli)
             return EXIT_OK, _emit_scalar(req, _inputs(req, req.moduli), {"value": value}, str(value))
-        tuples = list(_tuple_space(req))
-        header = [*_inputs(req, tuples[0]), "value"]
-        rows = [[*_inputs(req, ms).values(), evaluate(ms)] for ms in tuples]
+        values = _table_values(req, _tuple_space(req))
+        arity = _arity(req)
+        inputs = _inputs(req, (1,) * arity)
+        header = [*inputs, "value"]
+        constants = tuple(inputs.values())[arity:]
+        rows = map(tuple.__add__, _tuple_space(req), map(constants.__add__, zip(values)))
         return EXIT_OK, _emit_rows(req, header, rows)
 
     if cmd == "roots":
@@ -399,7 +470,11 @@ def main(argv=None) -> int:
     except ScaleError as exc:
         _emit_error(req, "scale", str(exc))
         return EXIT_SCALE
-    print(out)
+    if isinstance(out, str):
+        print(out)
+    else:
+        for chunk in out:
+            sys.stdout.write(chunk)
     return code
 
 

@@ -16,12 +16,15 @@ The modified orthogonality sum of the paper, generalized to any s-even
 kernels, is ``t_even``: it stays in coefficient space from the analysis
 of each kernel to one final sum, without the transform back to values
 that a chain of ``cauchy_convolve`` calls pays at every step.
-``t_a(strategy="spectral")`` is ``t_even`` on the kernels c_{m_i}, and
-the spectral side of ``coprime_shift_sum`` is ``t_even`` of its one kernel.
+``t_a(strategy="spectral")`` is the same integer sum (``_t_sum``) on the
+kernels c_{m_i}, read as integers with no ``Fraction`` made, and the
+spectral side of ``coprime_shift_sum`` is ``t_even`` of its one kernel.
+The transforms read c_n(k) through one cache keyed by (n, gcd(k, n)).
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as cartesian
 
 from .arith import _Record, divisors, euler_phi, factorize, mobius, moduli_tuple
@@ -70,15 +73,27 @@ def _numerators(values: dict) -> tuple[int, dict]:
     return den, {d: v.numerator * (den // v.denominator) for d, v in values.items()}
 
 
+# Bounded: a spectral T_a at s <= 10^6 reads c_n(k) at about d(s) 2^omega(s)
+# pairs (n, gcd(k, n)), under 4096 for the moduli of the benchmark's tables.
+@lru_cache(maxsize=4096)
+def _c_at_gcd(n: int, g: int) -> int:
+    """c_n(k) for g = gcd(k, n), on which alone c_n(k) depends."""
+    return ramanujan_sum(n, g)
+
+
 def _analysis(s: int, numerators: dict, at=None) -> dict:
     """{d: sum_{e|s} F(e) c_{s/e}(s/d)} for F = L f, at the divisors d in ``at`` (default: all): s L alpha(d)."""
     terms = [(s // e, fe) for e, fe in numerators.items() if fe]
-    return {d: sum(fe * ramanujan_sum(n, s // d) for n, fe in terms) for d in (numerators if at is None else at)}
+    gcd = math.gcd
+    return {
+        d: sum([fe * _c_at_gcd(n, gcd(s // d, n)) for n, fe in terms]) for d in (numerators if at is None else at)
+    }
 
 
 def _synthesis(coefficients: dict) -> dict:
     """{e: sum_{d|s} A(d) c_d(e)}, keyed like A by the divisors of s: the values of sum_d A(d) c_d."""
-    return {e: sum(a * ramanujan_sum(d, e) for d, a in coefficients.items() if a) for e in coefficients}
+    gcd = math.gcd
+    return {e: sum([a * _c_at_gcd(d, gcd(e, d)) for d, a in coefficients.items() if a]) for e in coefficients}
 
 
 def fourier_coefficients(f: SEvenFunction) -> dict:
@@ -153,6 +168,42 @@ def _shift_sum_cap(s: int) -> None:
         raise ScaleError(f"coprime shift sum capped at s <= 10^6, got {s}")
 
 
+def _t_sum(s: int, kernels, a: int) -> tuple[int, int]:
+    """(N, D) with N / D the T sum of ``t_even`` over kernels given as integers.
+
+    Each kernel is a pair (L, {e: L f(e)}) over the divisors e of s in
+    divisor order: the numerators of its values over a common
+    denominator L.  One integer analysis A = s L alpha per distinct
+    numerator vector, at the squarefree d only; D = s prod_i L_i.  The
+    squarefree d, mu(d) and phi(d) are built from the primes of s, with
+    nothing factored again.
+    """
+    squarefree = [(1, 1, 1)]  # (d, mu(d), phi(d))
+    fs = factorize(s)
+    for p, _ in fs.factors:
+        squarefree += [(d * p, -mu, phi * (p - 1)) for d, mu, phi in squarefree]
+    ds = [d for d, _, _ in squarefree]
+    product = dict.fromkeys(ds, 1)
+    den = s
+    analysed = {}
+    for den_f, num in kernels:
+        den *= den_f
+        key = tuple(num.values())
+        if key not in analysed:
+            analysed[key] = _analysis(s, num, ds)
+        coeffs = analysed[key]
+        for d in ds:
+            product[d] *= coeffs[d]
+    phi_s = euler_phi(fs)
+    gcd = math.gcd
+    total = 0
+    for d, mu, phi in squarefree:
+        v = product[d]
+        if v:
+            total += v * mu * _c_at_gcd(d, gcd(a, d)) * (phi_s // phi)
+    return total, den
+
+
 def t_even(kernels, a: int) -> Fraction:
     """The modified orthogonality sum of s-even kernels f_1, ..., f_r with shift a.
 
@@ -165,34 +216,15 @@ def t_even(kernels, a: int) -> Fraction:
     in which only squarefree d count.  Computed in coefficient space: one
     integer analysis A_i = s L_i alpha_i per distinct numerator vector
     L_i f_i, at the squarefree d only, their pointwise product, and one
-    sum over d divided by s prod_i L_i.  Nothing is transformed back to
-    values.
+    sum over d divided by s prod_i L_i (``_t_sum``).  Nothing is
+    transformed back to values.
     """
     kernels = tuple(kernels)
     if not kernels:
         raise DomainError("at least one kernel required")
-    s = kernels[0].s
-    fs = factorize(s)
-    squarefree = divisors(math.prod(p for p, _ in fs.factors))
-    product = dict.fromkeys(squarefree, 1)
-    den = s
-    analysed = {}
     for f in kernels:
         _same_period(kernels[0], f)
-        den_f, num = _numerators(f.values)
-        den *= den_f
-        key = tuple(num.values())  # in divisor order, as every SEvenFunction stores them
-        if key not in analysed:
-            analysed[key] = _analysis(s, num, squarefree)
-        coeffs = analysed[key]
-        for d in squarefree:
-            product[d] *= coeffs[d]
-    phi_s = euler_phi(fs)
-    total = 0
-    for d, v in product.items():
-        if v:
-            total += v * mobius(d) * ramanujan_sum(d, a) * (phi_s // euler_phi(d))
-    return Fraction(total, den)
+    return Fraction(*_t_sum(kernels[0].s, [_numerators(f.values) for f in kernels], a))
 
 
 def t_a(moduli, a: int, strategy: str = "closed") -> int:
@@ -203,8 +235,9 @@ def t_a(moduli, a: int, strategy: str = "closed") -> int:
     coprime to m.  It vanishes unless m_1 = ... = m_r = m, where it equals
     m^(r-1) mu(m) c_m(a).
 
-    Strategies: "closed" applies that evaluation; "spectral" is ``t_even``
-    on the c_{m_i} as m-even functions, from the analysis of their values
+    Strategies: "closed" applies that evaluation; "spectral" is the sum of
+    ``t_even`` on the c_{m_i} as m-even functions, from the analysis of
+    their integer values c_{m_i}(d), d | m, with no ``SEvenFunction`` built
     (capped at m <= 10^6, as the coprime shift sum is); "direct" iterates
     the defining grid (scale-capped).  All agree.
     """
@@ -217,11 +250,13 @@ def t_a(moduli, a: int, strategy: str = "closed") -> int:
         return 0
     if strategy == "spectral":
         _shift_sum_cap(m)
-        kernels = {mi: ramanujan_even(mi, m) for mi in set(mt.moduli)}
-        val = t_even([kernels[mi] for mi in mt.moduli], a)
-        if val.denominator != 1:
-            raise ConsistencyError(f"non-integer T value {val}")
-        return int(val)
+        divs, gcd = divisors(mt.lcm), math.gcd
+        kernels = {mi: (1, {d: _c_at_gcd(mi, gcd(d, mi)) for d in divs}) for mi in set(mt.moduli)}
+        total, den = _t_sum(m, [kernels[mi] for mi in mt.moduli], a)
+        val, rem = divmod(total, den)
+        if rem:
+            raise ConsistencyError(f"non-integer T value {Fraction(total, den)}")
+        return val
     if strategy == "direct":
         if m**r > _T_DIRECT_CAP:
             raise ScaleError(f"direct grid m^r = {m**r} exceeds 10^7")

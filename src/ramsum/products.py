@@ -33,16 +33,22 @@ the same class walk on the coefficients (-a_i, 1) of
 and pairwise coprime moduli are not a route: ``verify`` and the tests
 hold the walk equal to them.  ``r_prime_power`` evaluates the
 all-ones-shift function R on prime-power tuples directly.
+
+E_G and R_G are multiplicative in the r moduli, and c_m(a) in m.  So a
+table of either over a box [1, n]^r of moduli, or of c_m(a) for m <= n,
+is one ``_box_sieve``: each local factor, looked up once per prime and
+exponent vector, is multiplied into the cells with those valuations.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, compress, product as cartesian, repeat
-from operator import getitem
+from operator import getitem, mul
 
 from .arith import (
     _as_factored,
+    _primes_upto,
     factorize,
     moduli_tuple,
     multiplicative_eval,
@@ -169,21 +175,26 @@ def r_g_direct(system, moduli) -> int:
 # fast paths: one class walk per prime
 
 
-def _class_product(key, mt, coprime: bool) -> int:
-    """The product over the primes p of m of the local class sums.
+def _local_factor(key, p: int, avec: tuple[int, ...], coprime: bool) -> int:
+    """E_G (or R_G when ``coprime``) on (p^a_1, ..., p^a_r): one local class sum.
 
-    Each is looked up under its canonical local key, so equivalent
-    systems share one walk.  The full-range sum divides each by
-    p^max(avec), an exact division.
+    Looked up under its canonical local key, so equivalent systems share
+    one walk.  The full-range sum divides it by p^max(avec), an exact
+    division.
     """
+    local = _local_class_sum(_canonical_local(key, p, avec), p, coprime)
+    if not coprime:
+        local, rem = divmod(local, p ** max(avec))
+        if rem:
+            raise ConsistencyError(f"local sum at p={p} not divisible by p^{max(avec)}")
+    return local
+
+
+def _class_product(key, mt, coprime: bool) -> int:
+    """The product over the primes p of m of the local factors."""
     out = 1
     for p, avec in mt.profile:
-        local = _local_class_sum(_canonical_local(key, p, avec), p, coprime)
-        if not coprime:
-            local, rem = divmod(local, p ** max(avec))
-            if rem:
-                raise ConsistencyError(f"local sum at p={p} not divisible by p^{max(avec)}")
-        out *= local
+        out *= _local_factor(key, p, avec, coprime)
         if not out:
             break
     return out
@@ -279,9 +290,14 @@ def _poly_convolve(system, moduli, coprime: bool) -> int:
 # linear-shift specializations
 
 
+def _shift_key(shifts) -> tuple:
+    """The coefficients (-a_i, 1) of ``linear_shift_poly(a_i)``."""
+    return tuple([(-int(a), 1) for a in shifts])
+
+
 def _shift_args(shifts, moduli):
-    """The coefficients (-a_i, 1) of ``linear_shift_poly(a_i)``, and the moduli tuple."""
-    key = tuple([(-int(a), 1) for a in shifts])
+    """``_shift_key`` of the shifts, and the moduli tuple."""
+    key = _shift_key(shifts)
     mt = moduli_tuple(moduli)
     if len(key) != len(mt):
         raise DomainError(f"{len(key)} shifts but {len(mt)} moduli")
@@ -306,13 +322,99 @@ def r_shift(shifts, moduli) -> int:
 
 
 # ---------------------------------------------------------------------------
+# tables over a box of moduli
+
+
+def _box_sieve(n: int, r: int, local) -> list:
+    """F on every tuple of [1, n]^r, in ``itertools.product`` order, for a multiplicative F.
+
+    ``local(p, avec)`` is F on (p^a_1, ..., p^a_r) for a nonzero exponent
+    vector, and F(1, ..., 1) = 1.  Every cell starts at 1 and takes, at
+    each prime p <= n, the local factor of its valuation vector at p.
+    The table is read as rows along the last modulus, one row per tuple
+    of the other r - 1.  Their valuations u at p sort the rows into
+    sub-boxes; per u the factors along a row are looked up once, and are
+    multiplied in at C level (``map(mul, ...)``): at the multiples of p
+    only, one strided slice, when u = 0, and along the whole row
+    otherwise.  Nothing is factored, and the work is about
+    r n^r sum_{p <= n} 1/p products and n^(r-1) slices per prime.
+    """
+    table = [1] * n**r
+    for p in _primes_upto(n):
+        # exps[k - 1] = v_p(k p) for k = 1..n // p
+        exps, q, top = [1] * (n // p), p, 1
+        while q <= n // p:
+            exps[q - 1 :: q] = [e + 1 for e in exps[q - 1 :: q]]
+            q *= p
+            top += 1
+        # axis[m - 1] = v_p(m), and the row starts of each valuation class
+        # along each of the first r - 1 moduli
+        axis, starts = None, []
+        if r > 1:
+            axis = [0] * n
+            axis[p - 1 :: p] = exps
+            classes = [[] for _ in range(top + 1)]
+            for i, e in enumerate(axis):
+                classes[e].append(i)
+            starts = [[[i * n ** (r - 1 - j) for i in cls] for cls in classes] for j in range(r - 1)]
+        for u in cartesian(range(top + 1), repeat=r - 1):
+            zero = not any(u)
+            f = [1 if zero and not e else local(p, (*u, e)) for e in range(top + 1)]
+            if f.count(1) == len(f):
+                continue
+            if zero:
+                off, step, factors = p - 1, p, list(map(f.__getitem__, exps))
+            else:
+                off, step, factors = 0, 1, list(map(f.__getitem__, axis))
+            for start in map(sum, cartesian(*[starts[j][e] for j, e in enumerate(u)])):
+                cells = slice(start + off, start + n, step)
+                table[cells] = map(mul, table[cells], factors)
+    return table
+
+
+def _product_sum_table(key, n: int, coprime: bool) -> list:
+    """E_G (or R_G when ``coprime``) of the system ``key`` on every tuple of [1, n]^r.
+
+    One ``_box_sieve`` of the local factors of ``_class_product``: each
+    (p, exponent vector) costs one class walk, and no modulus is factored.
+    """
+    return _box_sieve(n, len(key), partial(_local_factor, key, coprime=coprime))
+
+
+def _ramanujan_power(a: int, p: int, avec: tuple[int]) -> int:
+    """c_{p^e}(a) = p^e [p^e | a] - p^(e-1) [p^(e-1) | a] for avec = (e,)."""
+    low = p ** (avec[0] - 1)
+    if a % low:
+        return 0
+    return p * low - low if a % (p * low) == 0 else -low
+
+
+def _ramanujan_table(a: int, n: int) -> list:
+    """c_m(a) for m = 1..n: c_m(a) is multiplicative in m, so one ``_box_sieve`` with r = 1."""
+    return _box_sieve(n, 1, partial(_ramanujan_power, a))
+
+
+# ---------------------------------------------------------------------------
 # prime-power closed form and the normalized diagonal function
 
 
+# x_r(p), h_s(x) and g_r take r (or s) up to this cap, the Euler product's,
+# checked before any power is formed: x_r_value(10^6, 7) takes 0.17 s, and
+# r = 10^9 would form a power of about 3 * 10^9 bits.
+_R_CAP = 256
+
+
+def _check_r_cap(r: int, what: str) -> None:
+    if r > _R_CAP:
+        raise ScaleError(f"{what} capped at r <= {_R_CAP}, got {r}")
+
+
 def h_value(s: int, x: int) -> int:
-    """((x-1)^(s-1) + (-1)^s) / x as a checked exact integer division."""
+    """((x-1)^(s-1) + (-1)^s) / x as a checked exact integer division; s <= 256."""
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
+    if s > _R_CAP:
+        raise ScaleError(f"h_s capped at s <= {_R_CAP}, got {s}")
     if x == 0:
         raise DomainError("x must be nonzero")
     num = (x - 1) ** (s - 1) + (-1) ** s
@@ -323,7 +425,8 @@ def h_value(s: int, x: int) -> int:
 
 
 def x_r_value(r: int, p: int) -> int:
-    """(p-1)^r + (-1)^r (p-2): R on r copies of a prime p, and p * g_r(p)."""
+    """(p-1)^r + (-1)^r (p-2): R on r copies of a prime p, and p * g_r(p); r <= 256."""
+    _check_r_cap(r, "x_r")
     return (p - 1) ** r + (-1) ** r * (p - 2)
 
 
@@ -357,10 +460,11 @@ def g_r_value(r: int, m) -> Fraction:
     """R(m, ..., m) / m (r copies), assembled multiplicatively.
 
     Not an integer in general: on primes the local value is
-    ((p-1)^r + (-1)^r (p-2)) / p.
+    ((p-1)^r + (-1)^r (p-2)) / p.  r is capped at 256.
     """
     if r < 1:
         raise DomainError(f"r must be >= 1, got {r}")
+    _check_r_cap(r, "g_r")
     fm = _as_factored(m)
     out = Fraction(1)
     for p, e in fm.factors:

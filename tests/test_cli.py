@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +10,8 @@ import pytest
 from ramsum import cli
 from ramsum.cli import CommandRequest, _tuple_space, execute, main, parse_args
 from ramsum.errors import DomainError
+from ramsum.products import r_shift
+from ramsum.ramanujan import ramanujan_sum_totient_form
 from ramsum.verify import run_suite
 
 
@@ -314,6 +319,47 @@ def test_huge_range_row_exits_3_in_bounded_memory():
     done = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (3, ""), done.stderr
     assert done.stderr == "ramsum: scale error: --range row of 1000000000 moduli exceeds 10^6 moduli\n"
+
+
+def _whole_text(subcommand, fmt, header, rows):
+    """A table's output as one string, the way it was formatted before rows were streamed."""
+    if fmt == "json":
+        return json.dumps({"subcommand": subcommand, "rows": [dict(zip(header, row)) for row in rows]}, sort_keys=True)
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        return buf.getvalue().rstrip("\n")
+    return "\n".join(" ".join(f"{k}={v}" for k, v in zip(header, row)) for row in rows)
+
+
+def _assert_same_text(out, want):
+    # compared through the first differing character, so that a failure
+    # shows where, and pytest does not diff 100 kB of text
+    at = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), min(len(out), len(want)))
+    assert at == len(out) == len(want), (at, out[max(at - 60, 0) : at + 60], want[max(at - 60, 0) : at + 60])
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_tables_past_one_chunk_print_the_whole_text(capsys, fmt):
+    # two and three chunks of rows join to the one-string text, values per tuple
+    n = 2 * cli._CHUNK_ROWS + 5
+    assert main(["c", "--a", "12", "--range", str(n), "--format", fmt]) == 0
+    rows = [[m, 12, ramanujan_sum_totient_form(m, 12)] for m in range(1, n + 1)]
+    _assert_same_text(capsys.readouterr().out, _whole_text("c", fmt, ["n", "a", "value"], rows) + "\n")
+    assert main(["R", "--shifts", "1,2", "--range", "70", "--format", fmt]) == 0
+    rows = [[m1, m2, "1,2", r_shift((1, 2), (m1, m2))] for m1 in range(1, 71) for m2 in range(1, 71)]
+    _assert_same_text(capsys.readouterr().out, _whole_text("R", fmt, ["m_1", "m_2", "shifts", "value"], rows) + "\n")
+
+
+def test_million_row_table_streams_in_a_quarter_gigabyte():
+    # 10^6 rows: one box sieve, and the text written in chunks.  Tuple by
+    # tuple, with every row and the whole text held, it took 422 MB max RSS
+    # and does not fit in 256 MiB; the sha256 is that route's stdout
+    argv = ["E", "--polys", "x;x^2-1", "--range", "1000"]
+    child = _LIMITED_MAIN.replace("1 << 30", "1 << 28")
+    done = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert hashlib.sha256(done.stdout).hexdigest() == "9129ad4dcfadb3128e2582efdeb47ce2510e0f0a8fac17573234d667b04d086b"
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,7 @@ _STRATEGIES = {
 _VALUES = {
     "--a": _ints(-30, 30),
     "--r": _ints(2, 5, bad=(1, 0, 51, 52, 256, 257)),
-    "--range": _ints(1, 4),
+    "--range": _ints(1, 9),
     "--x": _ints(1, 2000),
     "--prime-bound": _ints(1, 1000),
     "--suite": st.sampled_from(("orthogonality", "cohen", "oracle", "average-order", "all", "bogus")),

@@ -340,3 +340,24 @@ def test_t_even_kernels_with_equal_numerators():
     for kernels in ([f, g], [g, f, f], [g, g, f]):
         for a in (0, 1, 5):
             assert t_even(kernels, a) == _t_grid(6, kernels, a), (kernels, a)
+
+
+@given(st.lists(st.integers(1, 24), min_size=1, max_size=3), st.integers(-40, 40))
+@settings(max_examples=120, deadline=None)
+def test_spectral_t_a_equals_the_closed_form_and_the_grid(moduli, a):
+    # spectral T_a reads its kernels as integers; the closed form and the
+    # defining grid share none of that
+    value = t_a(moduli, a, strategy="spectral")
+    assert value == t_a(moduli, a, strategy="closed")
+    m = math.lcm(*moduli)
+    if m ** len(moduli) <= 3 * 10**4:
+        assert value == t_a(moduli, a, strategy="direct")
+
+
+def test_spectral_t_a_on_repeated_and_equal_moduli():
+    # r equal moduli reach the only nonzero case; kernels repeat in any order
+    for m in (1, 2, 12, 30, 97, 360):
+        for r in (1, 2, 4):
+            for a in (-7, 0, 1, 6):
+                assert t_a((m,) * r, a, strategy="spectral") == m ** (r - 1) * mobius(m) * ramanujan_sum(m, a)
+    assert t_a((12, 4, 12, 6), 3, strategy="spectral") == 0

@@ -20,14 +20,15 @@ def test_pass_profile_prints_each_kind_and_checks_the_digest():
 
 
 def test_pass_profile_prints_cache_hits_and_misses():
-    # tabulate seed 1, one pass: 571 class walks for 1847 local factors
+    # tabulate seed 1, one pass: 571 class walks for 1741 local factors; a
+    # fast --range table looks each (p, exponent vector) up once
     argv = [sys.executable, str(_TOOL), "--workload", "tabulate", "--seed", "1", "--passes", "1"]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     head = next(i for i, line in enumerate(lines) if line.startswith("cache "))
     rows = {line.split()[0]: tuple(map(int, line.split()[1:])) for line in lines[head + 1 :]}
-    assert rows["congruences._local_class_sum"] == (1276, 571)
+    assert rows["congruences._local_class_sum"] == (1170, 571)
     assert "arith.factorize" in rows and "products._poly_c_values" in rows
 
 

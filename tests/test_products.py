@@ -1,7 +1,10 @@
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product, zip_longest
 
 import pytest
@@ -30,9 +33,11 @@ from ramsum import (
     r_prime_power,
     r_shift,
     ramanujan_sum,
+    x_r_value,
 )
 from ramsum.congruences import _canonical_local, _local_class_sum
-from ramsum.products import _convolve, _poly_convolve
+from ramsum.products import _convolve, _poly_convolve, _product_sum_table, _ramanujan_table, _shift_key
+from ramsum.ramanujan import ramanujan_sum_totient_form
 from ramsum.verify import (
     _dedekind_psi as dedekind_psi,
     _distinct_prime_count as distinct_prime_count,
@@ -674,3 +679,84 @@ def test_g_r_matches_definition():
     for r in (1, 2, 3):
         for m in range(1, 30):
             assert g_r_value(r, m) == Fraction(r_g_direct(("x-1",) * r, (m,) * r), m)
+
+
+@st.composite
+def _boxes(draw):
+    """A system of r <= 3 polynomials or shifts, and the box side N: N <= 10 for r <= 2, N <= 5 for r = 3."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 10 if r <= 2 else 5))
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.integers(-12, 12), min_size=r, max_size=r))), None, n
+    polys = draw(st.lists(st.sampled_from(_SPECIAL + ("x^2+1", "x^3+x+1", "3x+2")), min_size=r, max_size=r))
+    return None, tuple(map(parse_polynomial, polys)), n
+
+
+@given(_boxes(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_box_sieve_tables_equal_three_routes(case, coprime):
+    # the sieve is never its own check: per tuple by the class walk, by the
+    # direct oracle and by the mu-convolution over root counts
+    shifts, polys, n = case
+    if shifts is not None:
+        key, system = _shift_key(shifts), shift_polys(shifts)
+        fast = partial(r_shift if coprime else e_shift, shifts)
+    else:
+        key, system = tuple(g.coeffs for g in polys), polys
+        fast = partial(r_g_fast if coprime else e_g_fast, polys)
+    direct = r_g_direct if coprime else e_g_direct
+    tuples = list(product(range(1, n + 1), repeat=len(key)))
+    table = _product_sum_table(key, n, coprime)
+    assert table == [fast(ms) for ms in tuples]
+    assert table == [direct(system, ms) for ms in tuples]
+    assert table == [_poly_convolve(system, ms, coprime) for ms in tuples]
+
+
+def test_box_sieve_crosses_prime_powers_and_three_primes():
+    # N = 30 = 2 * 3 * 5 and r = 2: 8 = 2^3, 9 = 3^2, 16, 25 and 27 against the class walk per tuple
+    for system in (("x", "x^2-1"), ("2x-1", "x^2+x+1")):
+        key = tuple(parse_polynomial(g).coeffs for g in system)
+        for coprime, fast in ((False, e_g_fast), (True, r_g_fast)):
+            want = [fast(system, ms) for ms in product(range(1, 31), repeat=2)]
+            assert _product_sum_table(key, 30, coprime) == want, (system, coprime)
+
+
+@given(st.integers(-10**4, 10**4), st.integers(1, 2000))
+@settings(max_examples=60, deadline=None)
+def test_ramanujan_table_equals_the_totient_form(a, n):
+    assert _ramanujan_table(a, n) == [ramanujan_sum_totient_form(m, a) for m in range(1, n + 1)]
+
+
+def test_ramanujan_table_at_highly_divisible_arguments():
+    for a in (0, 720720, -5040):
+        assert _ramanujan_table(a, 10**4) == [ramanujan_sum_totient_form(m, a) for m in range(1, 10**4 + 1)]
+
+
+def test_r_is_capped_at_256():
+    assert x_r_value(256, 7) == 6**256 + 5
+    assert h_value(256, 3) * 3 == 2**255 + 1
+    for call in (lambda: x_r_value(257, 7), lambda: h_value(257, 3), lambda: g_r_value(257, 6)):
+        with pytest.raises(ScaleError, match="capped at . <= 256, got 257"):
+            call()
+
+
+# a call in a child process with 1 GiB of address space
+_LIMITED_CALL = (
+    "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from ramsum import ScaleError, g_r_value, h_value, x_r_value\n"
+    "try:\n    {}\nexcept ScaleError as exc:\n    print(exc)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ("x_r_value(10**9, 7)", "x_r capped at r <= 256, got 1000000000"),
+        ("h_value(10**9, 7)", "h_s capped at s <= 256, got 1000000000"),
+        ("g_r_value(10**9, 7)", "g_r capped at r <= 256, got 1000000000"),
+    ],
+)
+def test_r_past_its_cap_is_a_scale_error_in_bounded_memory(call, message):
+    # (p - 1)^r at r = 10^9 has about 3 * 10^9 bits, past the child's address space
+    done = subprocess.run([sys.executable, "-c", _LIMITED_CALL.format(call)], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, message + "\n"), done.stderr

@@ -8,7 +8,9 @@ runs them in passes in this process the way ``perfbench/run.py`` does
 (every ramsum ``lru_cache`` cleared before each pass, calls bound through
 ``workloads.bind``) and prints, per kind, the evaluations per pass and
 the median over the passes of their summed time, then the median pass.
-A CLI evaluation's kind carries its subcommand (``cli T``).  Then it
+A CLI evaluation's kind carries its subcommand, and for E and R its
+system option, so that each table is reported apart (``cli T``,
+``cli E --polys``, ``cli E --shifts``).  Then it
 prints every ramsum ``lru_cache``'s hits and misses in one pass (the
 last; each pass starts from empty caches).  Times are
 raw ``perf_counter`` seconds, not scaled by the benchmark's speed probe,
@@ -35,7 +37,11 @@ import workloads  # noqa: E402
 
 
 def kind_of(kind, args):
-    return f"cli {args[0][0]}" if kind == "cli" else kind
+    """The kind as reported: a CLI evaluation by its subcommand, and its system option if any."""
+    if kind != "cli":
+        return kind
+    argv = args[0]
+    return " ".join(["cli", argv[0], *[opt for opt in ("--polys", "--shifts") if opt in argv]])
 
 
 def profile(workload, seed, passes):
