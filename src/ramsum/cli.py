@@ -22,7 +22,7 @@ from itertools import islice, product as cartesian
 from .asymptotics import alpha_r, asymptotic_report
 from .congruences import as_poly_system, count_roots, linear_shift_poly, parse_polynomial
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
-from .even import t_a
+from .even import _t_table, t_a
 from .products import (
     _product_sum_table,
     _ramanujan_table,
@@ -103,68 +103,104 @@ def _poly_list(text: str) -> tuple[str, ...]:
     return parts
 
 
-@lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+_FORMAT = ("--format", {"choices": ("plain", "json", "csv"), "default": "plain"})
+_PRODUCT_SUM = (
+    ("--moduli", {"type": _int_list}),
+    ("--polys", {"type": _poly_list, "help": "semicolon-separated polynomials"}),
+    ("--shifts", {"type": _int_list, "help": "linear system shifts a_i"}),
+    ("--strategy", {"choices": ("fast", "direct"), "default": "fast"}),
+    ("--range", {"type": _int, "dest": "range_max", "help": "tabulate all tuples in [1..N]^r"}),
+    _FORMAT,
+)
+
+# Each subcommand's help line and its options, as (flag, keyword arguments)
+# pairs, in the order of ``ramsum --help``.
+_SUBCOMMANDS = {
+    "c": (
+        "Ramanujan sum c_n(a)",
+        (
+            ("--moduli", {"type": _int_list, "help": "the single modulus n"}),
+            ("--a", {"type": _int, "required": True}),
+            ("--range", {"type": _int, "dest": "range_max", "help": "tabulate n = 1..N"}),
+            _FORMAT,
+        ),
+    ),
+    "E": ("averaged full-range product sum", _PRODUCT_SUM),
+    "R": ("coprime product sum", _PRODUCT_SUM),
+    "T": (
+        "modified orthogonality sum",
+        (
+            ("--moduli", {"type": _int_list}),
+            ("--a", {"type": _int, "required": True}),
+            ("--strategy", {"choices": ("closed", "spectral", "direct"), "default": "closed"}),
+            ("--r", {"type": _int, "help": "tuple arity for --range (default 1)"}),
+            ("--range", {"type": _int, "dest": "range_max"}),
+            _FORMAT,
+        ),
+    ),
+    "roots": (
+        "root counts N and eta of a congruence system",
+        (
+            ("--moduli", {"type": _int_list, "required": True}),
+            ("--polys", {"type": _poly_list, "required": True}),
+            ("--strategy", {"choices": ("multiplicative", "direct"), "default": "multiplicative"}),
+            _FORMAT,
+        ),
+    ),
+    "alpha": (
+        "Euler product constant",
+        (
+            ("--r", {"type": _int, "required": True}),
+            ("--prime-bound", {"type": _int, "dest": "prime_bound", "default": 100_000}),
+            _FORMAT,
+        ),
+    ),
+    "asymptotic": (
+        "average-order report for g_r",
+        (
+            ("--r", {"type": _int, "required": True}),
+            ("--x", {"type": _int, "required": True}),
+            ("--prime-bound", {"type": _int, "dest": "prime_bound", "default": 100_000}),
+            _FORMAT,
+        ),
+    ),
+    "verify": (
+        "run named invariant suites",
+        (
+            ("--suite", {"required": True, "help": f"one of: {', '.join(suite_names())}, all"}),
+            ("--max", {"type": _int, "help": "override the suite's default range (>= 1)"}),
+            _FORMAT,
+        ),
+    ),
+}
+
+
+@lru_cache(maxsize=len(_SUBCOMMANDS) + 1)
+def _build_parser(subcommand: str | None = None) -> _Parser:
+    """The argument parser with the subparser of ``subcommand`` only, or of every one for None.
+
+    Built once per process and key: parsing leaves it unchanged.  A
+    subparser's help, usage and errors do not depend on its siblings.
+    """
     parser = _Parser(prog="ramsum", description="exact Ramanujan-sum computations")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-
-    p = sub.add_parser("c", help="Ramanujan sum c_n(a)")
-    p.add_argument("--moduli", type=_int_list, help="the single modulus n")
-    p.add_argument("--a", type=_int, required=True)
-    p.add_argument("--range", type=_int, dest="range_max", help="tabulate n = 1..N")
-    add_format(p)
-
-    for name, hlp in (("E", "averaged full-range product sum"), ("R", "coprime product sum")):
-        p = sub.add_parser(name, help=hlp)
-        p.add_argument("--moduli", type=_int_list)
-        p.add_argument("--polys", type=_poly_list, help="semicolon-separated polynomials")
-        p.add_argument("--shifts", type=_int_list, help="linear system shifts a_i")
-        p.add_argument("--strategy", choices=("fast", "direct"), default="fast")
-        p.add_argument(
-            "--range", type=_int, dest="range_max", help="tabulate all tuples in [1..N]^r"
-        )
-        add_format(p)
-
-    p = sub.add_parser("T", help="modified orthogonality sum")
-    p.add_argument("--moduli", type=_int_list)
-    p.add_argument("--a", type=_int, required=True)
-    p.add_argument("--strategy", choices=("closed", "spectral", "direct"), default="closed")
-    p.add_argument("--r", type=_int, help="tuple arity for --range (default 1)")
-    p.add_argument("--range", type=_int, dest="range_max")
-    add_format(p)
-
-    p = sub.add_parser("roots", help="root counts N and eta of a congruence system")
-    p.add_argument("--moduli", type=_int_list, required=True)
-    p.add_argument("--polys", type=_poly_list, required=True)
-    p.add_argument("--strategy", choices=("multiplicative", "direct"), default="multiplicative")
-    add_format(p)
-
-    p = sub.add_parser("alpha", help="Euler product constant")
-    p.add_argument("--r", type=_int, required=True)
-    p.add_argument("--prime-bound", type=_int, dest="prime_bound", default=100_000)
-    add_format(p)
-
-    p = sub.add_parser("asymptotic", help="average-order report for g_r")
-    p.add_argument("--r", type=_int, required=True)
-    p.add_argument("--x", type=_int, required=True)
-    p.add_argument("--prime-bound", type=_int, dest="prime_bound", default=100_000)
-    add_format(p)
-
-    p = sub.add_parser("verify", help="run named invariant suites")
-    p.add_argument("--suite", required=True, help=f"one of: {', '.join(suite_names())}, all")
-    p.add_argument("--max", type=_int, help="override the suite's default range (>= 1)")
-    add_format(p)
-
+    for name in _SUBCOMMANDS if subcommand is None else (subcommand,):
+        help_line, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def parse_args(argv) -> CommandRequest:
-    """Parse and validate argv into a CommandRequest; raises UsageError."""
-    req = _build_parser().parse_args(argv, namespace=CommandRequest())
+    """Parse and validate argv into a CommandRequest; raises UsageError.
+
+    An argv that starts with a subcommand is parsed by that subcommand's
+    parser alone; any other (help, no arguments, an unknown name, a
+    leading option) by the parser of every subcommand.
+    """
+    name = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    req = _build_parser(name).parse_args(argv, namespace=CommandRequest())
     cmd = req.subcommand
     if cmd in ("c", "E", "R", "T"):
         if req.range_max is not None and req.moduli is not None:
@@ -255,14 +291,17 @@ def _evaluator(req: CommandRequest):
 def _table_values(req: CommandRequest, tuples) -> list:
     """The value of every row of a --range table, in the order of ``tuples``.
 
-    c_n(a), E_G and R_G are multiplicative in the moduli, so a ``c`` table
-    and a fast ``E``/``R`` table are one box sieve each; a ``--strategy
-    direct`` table and a ``T`` table evaluate tuple by tuple.
+    c_n(a), E_G, R_G and T_a are multiplicative in the moduli, so a ``c``
+    table, a fast ``E``/``R`` table and a closed or spectral ``T`` table
+    are one box sieve each; a ``--strategy direct`` table evaluates tuple
+    by tuple.
     """
     if req.subcommand == "c":
         return _ramanujan_table(req.a, req.range_max)
-    if req.subcommand == "T" or req.strategy == "direct":
+    if req.strategy == "direct":
         return list(map(_evaluator(req), tuples))
+    if req.subcommand == "T":
+        return _t_table(req.a, req.range_max, _arity(req), req.strategy)
     if req.shifts is not None:
         key = _shift_key(req.shifts)
     else:

@@ -6,14 +6,17 @@ A system G = (g_1, ..., g_r) of integer polynomials paired with moduli
 restricted to x coprime to every m_i; both a direct residue scan and a
 prime-by-prime multiplicative strategy are provided and must agree.  The
 multiplicative strategy's local counts lift the common roots mod p along
-a Hensel tree instead of scanning residues.  The local factors of the
-product sums in ``products`` walk the same tree: ``_local_class_sum``
-sums over the classes on which the valuations v_p(g_i(x)) are constant,
-cached under the canonical form of the local system that
-``_canonical_local`` gives, so equivalent systems share one walk.  Both
-walks read two smaller caches: ``_condition``, each condition with its
-content stripped, and ``_scanned_roots``, the roots mod p that a scan of
-every residue finds.  Neither keeps a polynomial above degree 64.
+a Hensel tree instead of scanning residues (``_local_root_count``).  The
+local factors of the product sums in ``products`` walk the same tree:
+``_local_class_sum`` sums over the classes on which the valuations
+v_p(g_i(x)) are constant.  Both are cached under a canonical form of the
+local system, so equivalent systems share one walk: ``count_roots``
+looks ``_local_root_count`` up under the key ``_canonical_pairs`` gives,
+and ``_local_class_sum`` is keyed by ``_canonical_local``.  Both walks
+read two smaller caches: ``_condition``, each condition with its content
+stripped, and ``_fp_roots``, the common roots mod p of conditions
+reduced mod p, whichever way they are found.  Neither keeps a polynomial
+above degree 64.
 
 ``poly_values_mod`` is the one per-residue value kernel of the
 definitional scans (the direct root count here and the oracle rows of
@@ -329,51 +332,89 @@ def _fp_monic(a: list, p: int) -> list:
     return [c * inv % p for c in a]
 
 
-def _fp_divmod(a: list, f: list, p: int) -> tuple[list, list]:
+# One power base^e mod f or one gcd over F_p takes at most this many
+# schoolbook steps: a product's coefficient multiplications and a
+# division's row updates, each row deg f of them, counted as they come.
+# Dense, a multiply-reduce takes 2 deg(f)^2 of them and x^p mod f about
+# 1.5 log2(p) multiply-reduces: at degree 2000 and p = 10^9 + 7 one root
+# finding took 36 s, and this cap is about 3 s (2-core x86_64).  At
+# degree 64 and p < 3.3 * 10^24 (82 bits), the largest p that
+# ``factorize`` proves prime, a power takes under 1.4 * 10^6 steps and a
+# gcd under 4300, so every choice up to degree 64 keeps its answer.  A
+# sparse f of high degree whose powers stay sparse (x^20000 + x + 1 at
+# p = 10^6 + 3, about 3 * 10^6 steps in all) keeps its answer too.
+_FP_STEPS = 2 * 10**7
+
+
+class _Steps:
+    """The schoolbook steps left to one F_p power or gcd; ``ScaleError`` once they run out."""
+
+    __slots__ = ("left", "p", "degree")
+
+    def __init__(self, p: int, degree: int):
+        self.left, self.p, self.degree = _FP_STEPS, p, degree
+
+    def spend(self, n: int) -> None:
+        self.left -= n
+        if self.left < 0:
+            raise ScaleError(
+                f"roots mod {self.p} at degree {self.degree}: a power or gcd over F_p "
+                "capped at 2*10^7 schoolbook steps"
+            )
+
+
+def _fp_divmod(a: list, f: list, p: int, steps: _Steps | None = None) -> tuple[list, list]:
     """(a // f, a mod f) over F_p, f monic; the remainder has no trailing zeros.
 
     Division in place: step i leaves the quotient's coefficient of
-    x^(i - deg f) at a[i] and reduces only the entries below it.
+    x^(i - deg f) at a[i] and reduces only the entries below it.  Each
+    nonzero quotient coefficient spends deg f of ``steps``, if given.
     """
     a = list(a)
     df = len(f) - 1
     for i in range(len(a) - 1, df - 1, -1):
         q = a[i]
         if q:
+            if steps is not None:
+                steps.spend(df)
             for j in range(df):
                 a[i - df + j] = (a[i - df + j] - q * f[j]) % p
     return a[df:], _fp_trim(a[:df])
 
 
 def _fp_gcd(a: list, b: list, p: int) -> list:
-    """The monic gcd over F_p of two nonzero polynomials."""
+    """The monic gcd over F_p of two nonzero polynomials, within ``_FP_STEPS``."""
+    steps = _Steps(p, max(len(a), len(b)) - 1)
     a, b = _fp_monic(a, p), _fp_monic(b, p)
     while len(b) > 1:
-        a, b = b, _fp_divmod(a, b, p)[1]
+        a, b = b, _fp_divmod(a, b, p, steps)[1]
         if not b:
             return a
         b = _fp_monic(b, p)
     return b
 
 
-def _fp_mulmod(a: list, b: list, f: list, p: int) -> list:
+def _fp_mulmod(a: list, b: list, f: list, p: int, steps: _Steps) -> list:
+    """a * b mod f over F_p; the product spends len(b) of ``steps`` per nonzero a_i, first."""
+    steps.spend((len(a) - a.count(0)) * len(b))
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] += ai * bj
-    return _fp_divmod([c % p for c in prod], f, p)[1]
+    return _fp_divmod([c % p for c in prod], f, p, steps)[1]
 
 
 def _fp_powmod(base: list, e: int, f: list, p: int) -> list:
-    """base^e mod f over F_p, f monic of degree >= 2."""
-    out, base = [1], _fp_divmod(base, f, p)[1]
+    """base^e mod f over F_p, f monic of degree >= 2, within ``_FP_STEPS``."""
+    steps = _Steps(p, len(f) - 1)
+    out, base = [1], _fp_divmod(base, f, p, steps)[1]
     while e:
         if e & 1:
-            out = _fp_mulmod(out, base, f, p)
+            out = _fp_mulmod(out, base, f, p, steps)
         e >>= 1
         if e:
-            base = _fp_mulmod(base, base, f, p)
+            base = _fp_mulmod(base, base, f, p, steps)
     return out
 
 
@@ -449,8 +490,37 @@ _KEPT_LENGTH = 65
 
 
 def _common_roots(hs, p: int) -> tuple:
-    """The x in [0, p) with h(x) = 0 (mod p) for every h in hs; no h vanishes mod p."""
-    fs = [_fp_trim([c % p for c in h]) for h in hs]
+    """The x in [0, p) with h(x) = 0 (mod p) for every h in hs; no h vanishes mod p.
+
+    The h are reduced mod p and sorted, and the root set is looked up in
+    ``_fp_roots`` when every h has degree at most 64.
+    """
+    fs = []
+    for h in hs:
+        f = tuple(map(p.__rmod__, h))
+        fs.append(f if f[-1] else tuple(_fp_trim(list(f))))
+    if len(fs) > 1:
+        fs.sort()
+    key = tuple(fs)
+    if max(map(len, key)) <= _KEPT_LENGTH:
+        return _fp_roots(key, p)
+    return _fp_roots.__wrapped__(key, p)
+
+
+# Bounded: one tabulate pass of the benchmark looks up 165 distinct keys,
+# each of at most _KEPT_LENGTH residues mod p per polynomial.
+@lru_cache(maxsize=1024)
+def _fp_roots(fs: tuple, p: int) -> tuple:
+    """The common roots in [0, p) of the polynomials fs over F_p, none of them zero.
+
+    A linear polynomial of least degree gives its one root, checked on
+    the others.  At small p a residue scan (``_scan_roots``) finds them;
+    otherwise the gcd g of fs is split: directly when of degree at most
+    2, else through gcd(g, x^p - x), the product of the distinct x - r
+    dividing g.  The least-degree polynomial takes no gcd with itself, so a
+    system of one takes none.  Each power and gcd over F_p is capped at
+    ``_FP_STEPS`` (``ScaleError``).
+    """
     low = min(fs, key=len)
     if len(low) == 2:
         root = -low[0] * pow(low[1], -1, p) % p
@@ -458,31 +528,24 @@ def _common_roots(hs, p: int) -> tuple:
     if len(low) == 1:
         return ()
     if p <= _SCAN_PER_DEGREE_BIT * (len(low) - 1) * p.bit_length() and p * len(low) <= _SCAN_STEPS:
-        key = tuple(map(tuple, fs))
-        if max(map(len, key)) <= _KEPT_LENGTH:
-            return _scanned_roots(key, p)
-        return _scanned_roots.__wrapped__(key, p)
+        return _scan_roots(fs, p)
     g = _fp_monic(low, p)
     for f in fs:
-        g = _fp_gcd(g, f, p)
-        if len(g) == 1:
-            return ()
+        if f is not low:
+            g = _fp_gcd(g, f, p)
+            if len(g) == 1:
+                return ()
     if len(g) == 2:
         return (-g[0] % p,)
     if len(g) == 3 and p > 2:
         return tuple(_fp_quadratic_roots(g, p))
-    # gcd(g, x^p - x) is the product of the distinct x - r dividing g
     xp = _fp_powmod([0, 1], p, g, p)
     xp += [0] * (2 - len(xp))
     xp[1] = (xp[1] - 1) % p
     return tuple(_fp_split(_fp_gcd(g, xp, p) if _fp_trim(xp) else g, p))
 
 
-# Bounded: one tabulate pass of the benchmark scans under 40 distinct
-# systems.  A key holds at most _KEPT_LENGTH residues mod p per polynomial,
-# and a scan runs only for p <= 4 * 64 * log2(p), that is p <= 3072.
-@lru_cache(maxsize=1024)
-def _scanned_roots(fs: tuple, p: int) -> tuple:
+def _scan_roots(fs: tuple, p: int) -> tuple:
     """The common roots in [0, p) of the polynomials fs over F_p, by a scan of every residue.
 
     Only the lowest-degree polynomial is evaluated at every residue; the
@@ -541,8 +604,9 @@ def _newton(h, r: int, p: int, m: int) -> int:
     return t
 
 
-# Bounded: count_roots and the mu-convolution check route share it, and
-# verify --suite oracle asks for thousands of distinct keys.
+# Bounded: count_roots (under canonical keys) and the mu-convolution check
+# route share it, and verify --suite oracle asks for thousands of distinct
+# keys.
 @lru_cache(maxsize=8192)
 def _local_root_count(polys_key, p: int, evec: tuple[int, ...], units_only: bool) -> int:
     """Solutions x mod p^max(evec) of g_i(x) = 0 (mod p^e_i) for all i.
@@ -603,6 +667,28 @@ def _unit_slope(h, p: int) -> bool:
     p^n of one class mod p^(n-1): h(u + p^(n-1) j) = h(u) + p^(n-1) j h'(u).
     """
     return len(h) > 1 and h[1] % p != 0 and not any(c % p for c in h[2:])
+
+
+def _canonical_pairs(polys_key, p: int, avec: tuple[int, ...]) -> tuple:
+    """The local system at p in canonical form, as ``_local_root_count`` takes it: (key, avec).
+
+    The local count at p depends only on the unordered pairs
+    (g_i mod p^a_i, a_i) with a_i >= 1.  So the pairs with a_i = 0 are
+    dropped, each g_i is reduced into [0, p^a_i) without trailing zeros,
+    and the pairs are sorted, so that permuted systems, g_i shifted by
+    multiples of m_i and moduli 1 share one key.
+    """
+    pairs = []
+    for g, a in zip(polys_key, avec):
+        if a:
+            q = p**a
+            h = tuple(map(q.__rmod__, g))
+            if h and not h[-1]:
+                h = tuple(_fp_trim(list(h)))
+            pairs.append((h, a))
+    if len(pairs) > 1:
+        pairs.sort()
+    return tuple(zip(*pairs))
 
 
 def _canonical_local(polys_key, p: int, avec: tuple[int, ...]) -> tuple:
@@ -738,7 +824,9 @@ def count_roots(system, moduli, units_only: bool = False, strategy: str = "multi
     equivalent to gcd(x, lcm) = 1.  Strategy "direct" still visits every
     residue: it tabulates g_i(x) mod m_i at every x mod m_i with
     ``poly_values_mod``, marks the zeros, and counts the x mod lcm where
-    every mark is set.  "multiplicative" multiplies per-prime local counts.
+    every mark is set.  "multiplicative" multiplies per-prime local counts,
+    each looked up in ``_local_root_count`` under the canonical key of its
+    local system (``_canonical_pairs``).
     """
     key, mt = as_system_and_moduli(system, moduli)
     m = mt.lcm.value
@@ -754,7 +842,8 @@ def count_roots(system, moduli, units_only: bool = False, strategy: str = "multi
         raise DomainError(f"unknown strategy {strategy!r}")
     count = 1
     for p, evec in mt.profile:
-        count *= _local_root_count(key, p, evec, units_only)
+        local_key, avec = _canonical_pairs(key, p, evec)
+        count *= _local_root_count(local_key, p, avec, units_only)
         if count == 0:
             break
     return RootCount(count, m)

@@ -20,6 +20,10 @@ that a chain of ``cauchy_convolve`` calls pays at every step.
 kernels c_{m_i}, read as integers with no ``Fraction`` made, and the
 spectral side of ``coprime_shift_sum`` is ``t_even`` of its one kernel.
 The transforms read c_n(k) through one cache keyed by (n, gcd(k, n)).
+
+T_a is multiplicative in its r moduli, so a table of it over a box
+[1, n]^r is one ``products._box_sieve`` of its values on prime-power
+tuples (``_t_table``).
 """
 
 import math
@@ -29,6 +33,7 @@ from itertools import product as cartesian
 
 from .arith import _Record, divisors, euler_phi, factorize, mobius, moduli_tuple
 from .errors import ConsistencyError, DomainError, ScaleError
+from .products import _box_sieve
 from .ramanujan import ramanujan_row, ramanujan_sum
 
 _T_DIRECT_CAP = 10**7
@@ -274,3 +279,14 @@ def t_a(moduli, a: int, strategy: str = "closed") -> int:
                     total += c * last[(base + l) % m_last]
         return total
     raise DomainError(f"unknown strategy {strategy!r}")
+
+
+def _t_table(a: int, n: int, r: int, strategy: str) -> list:
+    """T_a on every tuple of [1, n]^r, in ``itertools.product`` order: one ``_box_sieve``.
+
+    T_a(m_1, ..., m_r) = [m_1 = ... = m_r] m^(r-1) mu(m) c_m(a) is
+    multiplicative in the r moduli, and 1 on (1, ..., 1), so its local
+    factor at p is ``t_a`` of the prime-power tuple under ``strategy``
+    ("closed" or "spectral"), looked up once per exponent vector.
+    """
+    return _box_sieve(n, r, lambda p, avec: t_a([p**e for e in avec], a, strategy=strategy))

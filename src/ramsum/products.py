@@ -430,13 +430,26 @@ def x_r_value(r: int, p: int) -> int:
     return (p - 1) ** r + (-1) ** r * (p - 2)
 
 
+# R on (p^e_1, ..., p^e_r) has at most (sum(e_j) + 1) * bit_length(p) bits,
+# and is a ScaleError past this many, checked before any power is formed: a
+# value of 10^6 bits takes about 0.1 s to form.
+_R_BITS = 10**6
+
+
 def _r_local(p: int, exps: tuple[int, ...]) -> int:
     """R on the prime-power tuple (p^e_1, ..., p^e_r), every e_j >= 1.
 
     With e the top exponent and s its multiplicity, the value is
     p^(sum(e_j) - r + 1) * (p-1)^(r-s+1) * h_s(p) for e > 1, where
-    h_s(x) = ((x-1)^(s-1) + (-1)^s) / x, and x_r(p) for e = 1.
+    h_s(x) = ((x-1)^(s-1) + (-1)^s) / x, and x_r(p) for e = 1.  Since
+    |h_s(p)| < p^(s-1), the value has at most (sum(e_j) + 1) * bit_length(p)
+    bits, capped at 10^6.
     """
+    bits = (sum(exps) + 1) * p.bit_length()
+    if bits > _R_BITS:
+        raise ScaleError(
+            f"R on prime powers capped at 10^6 bits, got (sum of exponents + 1) * {p.bit_length()} = {bits}"
+        )
     r, e = len(exps), max(exps)
     if e == 1:
         return x_r_value(r, p)

@@ -2,8 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -385,7 +387,8 @@ def test_sparse_high_degree_ends_in_seconds(command, want):
 
 
 # Run in one process, in this order, then each in a fresh process: one parser
-# serves them all, across a usage error and a JSON-mode domain error.
+# per subcommand serves them all, across a usage error and a JSON-mode domain
+# error, and an unknown name gets the parser of every subcommand.
 _IN_PROCESS_SEQUENCE = (
     ["E", "--polys", "x^2-1;x+1", "--range", "4", "--format", "csv"],
     ["E", "--moduli", "6", "--polys", "x^^2"],
@@ -406,7 +409,49 @@ def test_in_process_runs_print_what_fresh_processes_print(capsys):
         out, err = capsys.readouterr()
         fresh = subprocess.run([sys.executable, "-m", "ramsum", *argv], capture_output=True, timeout=60)
         assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser.cache_info().misses == len({argv[0] for argv in _IN_PROCESS_SEQUENCE})
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(name, capsys):
+    # the help and a usage error of each subcommand, through the parser of
+    # that subcommand alone and through the parser of every subcommand
+    seen = []
+    for parser in (cli._build_parser(name), cli._build_parser(None)):
+        with pytest.raises(SystemExit) as done:
+            parser.parse_args([name, "--help"], namespace=cli.CommandRequest())
+        seen.append((done.value.code, capsys.readouterr()))
+        with pytest.raises(cli.UsageError) as error:
+            parser.parse_args([name, "--format", "xml"], namespace=cli.CommandRequest())
+        seen.append(str(error.value))
+    assert seen[:2] == seen[2:]
+    assert seen[0][1].out.startswith(f"usage: ramsum {name} [-h]")
+    assert seen[1].startswith(f"{name}: argument --format: invalid choice: ")
+
+
+def _dense_text(degree: int, seed: int) -> str:
+    """x^degree plus every lower power with a coefficient in [-9, 9]."""
+    rng = random.Random(seed)
+    terms = [f"x^{degree}"]
+    for k in range(degree - 1, -1, -1):
+        c = rng.randint(-9, 9)
+        if c:
+            terms.append(f"{'+' if c > 0 else '-'}{abs(c)}x^{k}")
+    return "".join(terms)
+
+
+def test_dense_high_degree_roots_exit_3_within_seconds():
+    # dense degree 2000 at p = 10^9 + 7 answered after 72 s, two root findings
+    # (N and eta); the step cap of each power over F_p stops it at about 3 s
+    argv = ["roots", "--moduli", "1000000007", "--polys", _dense_text(2000, 1)]
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr[-2000:]
+    assert done.stderr == (
+        "ramsum: scale error: roots mod 1000000007 at degree 2000: a power or gcd over F_p "
+        "capped at 2*10^7 schoolbook steps\n"
+    )
+    assert time.perf_counter() - start < 15
 
 
 def test_json_error_object(capsys):

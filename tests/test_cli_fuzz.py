@@ -4,7 +4,8 @@ Each example runs ``ramsum.cli.main`` in one child process, one at a time,
 with a timeout and a 1 GiB address-space limit set on that child only.
 Generated sizes stay small enough that a valid command finishes in well
 under a second; the large values sit past the caps, where the command
-must stop with a scale error before it builds anything.
+must stop with a scale error before it builds anything, or, for the dense
+polynomial of degree 8000, within the step cap of its first power over F_p.
 """
 
 import json
@@ -101,6 +102,11 @@ def _argv(draw):
     return argv
 
 
+def _dense(degree):
+    """x^degree plus every lower power with a coefficient in 1..9 and alternating signs."""
+    return f"x^{degree}" + "".join(f"{'-+'[k % 2]}{k % 9 + 1}x^{k}" for k in range(degree - 1, -1, -1))
+
+
 def _format(argv):
     """The --format a parsed request ends up with: the one given, or plain."""
     return next((a.removeprefix("--format=") for a in argv if a.startswith("--format=")), "plain")
@@ -110,6 +116,7 @@ def _format(argv):
 @given(_argv())
 @example(["asymptotic", "--r", "200", "--x", "100", "--prime-bound", "100"])
 @example(["alpha", "--r", "20000000000", "--prime-bound", "3"])
+@example(["roots", "--moduli", "1000000007", "--polys", _dense(8000)])  # past the F_p step cap
 def test_cli_argv_ends_in_an_exit_code_without_traceback(argv):
     done = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True, timeout=60)
     assert 0 <= done.returncode <= 4, (argv, done.returncode, done.stderr[-2000:])

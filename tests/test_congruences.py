@@ -501,9 +501,6 @@ def _no_scan(*args):
     raise AssertionError("a residue scan past its budget")
 
 
-_no_scan.__wrapped__ = _no_scan
-
-
 @st.composite
 def _sparse_high_degree(draw):
     # one or two sparse polynomials of degree 2500-6000 at a prime p <= 3000:
@@ -532,17 +529,21 @@ def test_sparse_high_degree_roots_skip_the_scan_and_equal_it(case):
         hs.append(h)
     want = [x for x in range(p) if all(sum(c * pow(x, e, p) for e, c in t.items()) % p == 0 for t in system)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(congruences, "_scanned_roots", _no_scan)
+        mp.setattr(congruences, "_scan_roots", _no_scan)
         assert sorted(congruences._common_roots(hs, p)) == want
 
 
 def test_scan_budget_keeps_every_choice_up_to_degree_64():
     # degree 64 at 3067, the largest prime p with p <= 4 * 64 * log2(p), still scans
-    cache = congruences._scanned_roots
+    cache = congruences._fp_roots
     cache.cache_clear()
     g = [1, 1] + [0] * 62 + [1]
     want = tuple(x for x in range(3067) if poly_eval_mod(IntPolynomial(tuple(g)), x, 3067) == 0)
-    assert congruences._common_roots([g], 3067) == want
+    scans, scan = [], congruences._scan_roots
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(congruences, "_scan_roots", lambda fs, p: scans.append(p) or scan(fs, p))
+        assert congruences._common_roots([g], 3067) == want
+    assert scans == [3067]
     assert cache.cache_info().currsize == 1
 
 
@@ -591,11 +592,24 @@ def test_canonical_local_strips_contents_and_trailing_zeros():
         assert canonical(tuple(key[i] for i in perm), 3, tuple(avec[i] for i in perm)) == _reference_local(key, 3, avec)
 
 
+def test_canonical_pairs_reduce_sort_and_drop_moduli_1():
+    canonical = congruences._canonical_pairs
+    # 2x + 9 mod 3^2 and x^2 - 1 mod 3, and any condition with a = 0
+    key, avec = ((9, 2), (-1, 0, 1), (5, 7)), (2, 1, 0)
+    want = (((0, 2), (2, 0, 1)), (2, 1))
+    for perm in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
+        assert canonical(tuple(key[i] for i in perm), 3, tuple(avec[i] for i in perm)) == want
+    # each g_i shifted by a multiple of 3^a_i
+    assert canonical(((18, -7), (2, 3, 4), (1,)), 3, (2, 1, 0)) == want
+    # trailing zeros mod p^a go, and a multiple of p^a is the empty polynomial
+    assert canonical(((1, 3), (9, 18)), 3, (1, 2)) == (((), (1,)), (2, 1))
+
+
 def test_caches_keep_no_condition_above_degree_64():
-    caches = (congruences._condition, congruences._scanned_roots)
+    caches = (congruences._condition, congruences._fp_roots)
     for cache in caches:
         cache.cache_clear()
-    # degree 65 at p = 3: the condition and the residue scan are computed, not kept
+    # degree 65 at p = 3: the condition and the root set are computed, not kept
     g = (1,) + (0,) * 64 + (1,)
     assert congruences._canonical_local((g,), 3, (2,)) == _reference_local((g,), 3, (2,))
     assert congruences._common_roots([g], 3) == (2,)
@@ -650,3 +664,132 @@ def test_linear_system_matches_count_roots():
             assert crt_root_count(avs, ds, units) == count_roots(
                 system, ds, units_only=units
             ).count, (avs, ds, units)
+
+
+# ---------------------------------------------------------------------------
+# the one root cache, canonical keys of the root counts and the F_p step cap
+
+
+def _times(h, g):
+    out = [0] * (len(h) + len(g) - 1)
+    for i, a in enumerate(h):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _planted_systems(draw, primes):
+    """One to three polynomials over Z, none zero mod p, sharing up to four planted roots mod p.
+
+    Each is (x - r_1)...(x - r_k) times a cofactor: a dense one of degree
+    at most 7, or a sparse x^d + c_1 x^e_1 + ... with d in [65, 6000].  At
+    p > 3000 the first cofactor is dense, so the gcd path starts at degree
+    at most 11 and meets the sparse polynomials only in its gcds.
+    """
+    p = draw(st.sampled_from(primes))
+    base = [1]
+    for r in draw(st.lists(st.integers(0, p - 1), max_size=4)):
+        base = _times(base, [-r, 1])
+    hs = []
+    for i in range(draw(st.integers(1, 3))):
+        if (i == 0 and p > 3000) or draw(st.booleans()):
+            cofactor = draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=8))
+            if not any(c % p for c in cofactor):
+                cofactor[0] += 1
+        else:
+            cofactor = [0] * (draw(st.integers(65, 6000)) + 1)
+            cofactor[-1] = 1
+            for _ in range(draw(st.integers(1, 3))):
+                cofactor[draw(st.integers(0, 30))] += draw(st.integers(-5, 5))
+        hs.append(_times(base, cofactor))
+    return hs, p
+
+
+def _pow_scan(hs, p):
+    terms = [[(e, c) for e, c in enumerate(h) if c] for h in hs]
+    return [x for x in range(p) if all(sum(c * pow(x, e, p) for e, c in t) % p == 0 for t in terms)]
+
+
+@given(_planted_systems((2, 3, 5, 61, 401, 1009, 2003, 2999)))
+@example(([[1, 1] + [0] * 3998 + [1], [-1, 1]], 401))  # one of degree 4000 with a root at 1
+@settings(max_examples=60, deadline=None)
+def test_cached_root_sets_equal_a_pow_scan_at_small_p(case):
+    hs, p = case
+    want = _pow_scan(hs, p)
+    for _ in range(2):  # the second call may read the cache
+        got = congruences._common_roots(hs, p)
+        assert type(got) is tuple and sorted(got) == want
+
+
+def _sympy_roots(hs, p):
+    """The common roots mod p by sympy's galoistools: gcd(h_1, ..., h_k, x^p - x), factored."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_gcd, gf_pow_mod, gf_sub
+
+    g = None
+    for h in hs:
+        f = gf_from_int_poly(h[::-1], p)
+        g = f if g is None else gf_gcd(g, f, p, ZZ)
+    if len(g) < 2:
+        return []
+    h = gf_gcd(g, gf_sub(gf_pow_mod([1, 0], p, g, p, ZZ), [1, 0], p, ZZ), p, ZZ)
+    return sorted(-f[1] % p for f in gf_factor_sqf(h, p, ZZ)[1])
+
+
+@given(_planted_systems((10007, 10**6 + 3, 10**9 + 7, 2**61 - 1, 10**18 + 9, 3317044064679887385961813)))
+@settings(max_examples=60, deadline=None)
+def test_cached_root_sets_equal_sympy_at_large_p(case):
+    pytest.importorskip("sympy")
+    hs, p = case
+    want = _sympy_roots(hs, p)
+    for _ in range(2):
+        got = congruences._common_roots(hs, p)
+        assert type(got) is tuple and sorted(got) == want
+
+
+def test_degree_64_splits_completely_at_the_largest_provable_prime():
+    # (x - 1)...(x - 64) below 3.3 * 10^24: x^p mod g and the split of its
+    # 64 roots stay within the step cap of every power and gcd
+    p = 3317044064679887385961813
+    g = [1]
+    for r in range(1, 65):
+        g = _times(g, [-r, 1])
+    assert sorted(congruences._common_roots([g], p)) == list(range(1, 65))
+
+
+@st.composite
+def _count_cases(draw):
+    """Up to three polynomials of degree <= 3 and their moduli (lcm under 3 * 10^5), a
+    permutation, and per polynomial one whose m_i-multiple is added to it."""
+    r = draw(st.integers(1, 3))
+    key = [_trimmed(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4))) for _ in range(r)]
+    moduli = [draw(st.sampled_from((1, 1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 49))) for _ in range(r)]
+    perm = draw(st.permutations(range(r)))
+    shifts = [draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5)) for _ in range(r)]
+    return tuple(key), tuple(moduli), perm, shifts, draw(st.booleans())
+
+
+@given(_count_cases())
+@example((((),), (1,), [0], [[0]], False))  # the zero polynomial modulo 1
+@example((((0, 1), (-1, 0, 1)), (1, 8), [1, 0], [[2], [0, 0, 0, 1]], True))
+@settings(max_examples=200, deadline=None)
+def test_count_roots_under_canonical_keys_equals_direct_and_the_raw_key_counts(case):
+    key, moduli, perm, shifts, units = case
+    system = [IntPolynomial(g) for g in key]
+    want = count_roots(system, moduli, units_only=units, strategy="direct").count
+    raw = 1
+    for p, evec in congruences.moduli_tuple(moduli).profile:
+        raw *= congruences._local_root_count(key, p, evec, units)
+    assert raw == want
+    assert count_roots(system, moduli, units_only=units).count == want
+    # permuted, and each g_i plus m_i times a polynomial: the same canonical keys
+    moved = []
+    for g, m, s in zip(key, moduli, shifts):
+        coeffs = [0] * max(len(g), len(s))
+        for k, c in enumerate(g):
+            coeffs[k] += c
+        for k, c in enumerate(s):
+            coeffs[k] += m * c
+        moved.append(IntPolynomial(_trimmed(coeffs)))
+    assert count_roots([moved[i] for i in perm], [moduli[i] for i in perm], units_only=units).count == want

@@ -361,3 +361,16 @@ def test_spectral_t_a_on_repeated_and_equal_moduli():
             for a in (-7, 0, 1, 6):
                 assert t_a((m,) * r, a, strategy="spectral") == m ** (r - 1) * mobius(m) * ramanujan_sum(m, a)
     assert t_a((12, 4, 12, 6), 3, strategy="spectral") == 0
+
+
+@pytest.mark.parametrize("strategy", ["closed", "spectral"])
+@pytest.mark.parametrize("r,n,n_direct", [(1, 60, 60), (2, 14, 10), (3, 6, 4)])
+@pytest.mark.parametrize("a", [0, 1, -7, 720])
+def test_sieved_t_tables_equal_per_tuple_t_a(strategy, r, n, n_direct, a):
+    # one box sieve of t_a on prime-power tuples, against t_a on every tuple:
+    # closed on the whole box, and the defining grid on a smaller one
+    table = ramsum.even._t_table(a, n, r, strategy)
+    tuples = list(product(range(1, n + 1), repeat=r))
+    assert table == [t_a(m, a, strategy="closed") for m in tuples]
+    small = ramsum.even._t_table(a, n_direct, r, strategy)
+    assert small == [t_a(m, a, strategy="direct") for m in product(range(1, n_direct + 1), repeat=r)]

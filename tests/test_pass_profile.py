@@ -43,7 +43,7 @@ def test_the_benchmark_clears_the_class_walk_caches():
     done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     names = done.stdout.split()
-    assert "congruences._condition" in names and "congruences._scanned_roots" in names
+    assert "congruences._condition" in names and "congruences._fp_roots" in names
 
 
 @pytest.mark.parametrize("lines_read", [1, 0])

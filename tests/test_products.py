@@ -760,3 +760,29 @@ def test_r_past_its_cap_is_a_scale_error_in_bounded_memory(call, message):
     # (p - 1)^r at r = 10^9 has about 3 * 10^9 bits, past the child's address space
     done = subprocess.run([sys.executable, "-c", _LIMITED_CALL.format(call)], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, message + "\n"), done.stderr
+
+
+_LIMITED_R_PRIME_POWER = (
+    "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from ramsum import ScaleError, r_prime_power\n"
+    "try:\n    r_prime_power({}, {})\nexcept ScaleError as exc:\n    print(exc)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "p,exponents,bits",
+    [(3, [10**8], 200000002), (2, [10**9, 10**9], 4000000002), (10**9 + 7, [40000, 2], 1200090)],
+)
+def test_r_prime_power_past_its_bit_budget_is_a_scale_error_in_bounded_memory(p, exponents, bits):
+    # 3^(10^8) ran past 20 s; the bound (sum e + 1) * bit_length(p) is checked before any power
+    call = _LIMITED_R_PRIME_POWER.format(p, exponents)
+    done = subprocess.run([sys.executable, "-c", call], capture_output=True, text=True, timeout=60)
+    want = f"R on prime powers capped at 10^6 bits, got (sum of exponents + 1) * {p.bit_length()} = {bits}\n"
+    assert (done.returncode, done.stdout) == (0, want), done.stderr
+
+
+def test_r_prime_power_within_its_bit_budget():
+    # (sum e + 1) * bit_length(p) bounds the bits of the value; at the budget it is still computed
+    value = r_prime_power(3, (249999, 249999, 1))
+    assert value.bit_length() <= 500000 * 2
+    assert value == 3 ** (249999 * 2 + 1 - 3 + 1) * 2 ** (3 - 2 + 1) * h_value(2, 3)
