@@ -74,6 +74,9 @@ class FactoredNat(_Record):
 
 # Increments of the mod-30 wheel, starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# After the blocks of primes up to 1021 (``_TRIAL_BLOCKS``), the wheel
+# resumes at 1031 = 11 (mod 30), whose next increment is _WHEEL[1].
+_WHEEL_RESUME = 1031
 # Trial division stops at this bound; a cofactor with no prime factor
 # below it goes to Miller-Rabin and Pollard-Brent rho.
 _TRIAL_BOUND = 1 << 20
@@ -93,11 +96,17 @@ _RHO_STEPS = 1 << 21
 def factorize(n: int) -> FactoredNat:
     """Factor ``n >= 1`` exactly.
 
-    Trial division (2-3-5 wheel) finds every prime factor below 2^20, so
-    a modulus below 2^40 needs nothing else.  A larger cofactor is proven
-    prime by deterministic Miller-Rabin or split by Pollard-Brent rho
-    under a step budget; ScaleError when that budget runs out or a
-    cofactor above 3.3 * 10^24 is a probable prime that cannot be proven.
+    Trial division finds every prime factor below 2^20, so a modulus
+    below 2^40 needs nothing else: 2, 3 and 5 one by one; then the primes
+    7-61, 67-251 and 257-1021 a block at a time, one gcd of the cofactor
+    with the block's product each (D. J. Bernstein, "How to find smooth
+    parts of integers", 2004), dividing the cofactor only by the primes of
+    that gcd; then a 2-3-5 wheel from 1031.  A cofactor below the square
+    of the next prime to try is 1 or prime, and ends the search.  A larger
+    cofactor is proven prime by deterministic Miller-Rabin or split by
+    Pollard-Brent rho under a step budget; ScaleError when that budget
+    runs out or a cofactor above 3.3 * 10^24 is a probable prime that
+    cannot be proven.
     """
     if n < 1:
         raise DomainError(f"cannot factor {n}: positive integer required")
@@ -110,7 +119,28 @@ def factorize(n: int) -> FactoredNat:
                 m //= p
                 e += 1
             factors.append((p, e))
-    f, i = 7, 0
+    for square, primes, product in _TRIAL_BLOCKS:
+        if m < square:
+            break
+        g = math.gcd(m, product)
+        if g == 1:
+            continue
+        found = []
+        for p in primes:
+            if p * p > g:
+                break
+            if g % p == 0:
+                found.append(p)
+                g //= p
+        if g > 1:  # what is left of the gcd is one prime, the block's last
+            found.append(g)
+        for p in found:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+    f, i = _WHEEL_RESUME, 1
     top = min(m, _TRIAL_SQUARE)  # one comparison a step: f * f <= m and f <= _TRIAL_BOUND
     while f * f <= top:
         if m % f == 0:
@@ -245,6 +275,16 @@ def _primes_upto(bound: int) -> list[int]:
             start = q * q // 2
             sieve[start::q] = bytes((half - 1 - start) // q + 1)
     return [2, *compress(range(1, bound + 1, 2), sieve)]
+
+
+# The trial-division blocks of ``factorize``: per block the square of its
+# least prime, its primes and their product (about 1400 bits for 257-1021).
+_TRIAL_BLOCKS = tuple(
+    (primes[0] ** 2, primes, math.prod(primes))
+    for primes in (
+        tuple([p for p in _primes_upto(hi) if p >= lo]) for lo, hi in ((7, 61), (67, 251), (257, 1021))
+    )
+)
 
 
 def _as_factored(n) -> FactoredNat:

@@ -9,14 +9,17 @@ multiplicative strategy's local counts lift the common roots mod p along
 a Hensel tree instead of scanning residues (``_local_root_count``).  The
 local factors of the product sums in ``products`` walk the same tree:
 ``_local_class_sum`` sums over the classes on which the valuations
-v_p(g_i(x)) are constant.  Both are cached under a canonical form of the
-local system, so equivalent systems share one walk: ``count_roots``
-looks ``_local_root_count`` up under the key ``_canonical_pairs`` gives,
-and ``_local_class_sum`` is keyed by ``_canonical_local``.  Both walks
-read two smaller caches: ``_condition``, each condition with its content
-stripped, and ``_fp_roots``, the common roots mod p of conditions
-reduced mod p, whichever way they are found.  Neither keeps a polynomial
-above degree 64.
+v_p(g_i(x)) are constant.  ``_local_class_sum`` is cached under a
+canonical form of the local system (``_canonical_local``), so equivalent
+systems share one walk; ``_local_root_count`` is cached under the
+system's own coefficients, which ``count_roots`` and the mu-convolution
+both pass, since with the root cache in place a repeated tree costs less
+than a canonical key.  Both walks read two smaller caches:
+``_condition``, each condition with its content stripped, and
+``_fp_roots``, the common roots mod p of conditions reduced mod p,
+whichever way they are found.  Neither keeps a polynomial above degree
+64.  A lone condition h0 + h1 x with p not dividing h1 takes neither
+path: its root is one modular inverse (``_linear_root``).
 
 ``poly_values_mod`` is the one per-residue value kernel of the
 definitional scans (the direct root count here and the oracle rows of
@@ -492,9 +495,15 @@ _KEPT_LENGTH = 65
 def _common_roots(hs, p: int) -> tuple:
     """The x in [0, p) with h(x) = 0 (mod p) for every h in hs; no h vanishes mod p.
 
-    The h are reduced mod p and sorted, and the root set is looked up in
+    A lone h0 + h1 x with p not dividing h1 has the one root of
+    ``_linear_root``, found before any reduction or key.  Otherwise the h
+    are reduced mod p and sorted, and the root set is looked up in
     ``_fp_roots`` when every h has degree at most 64.
     """
+    if len(hs) == 1:
+        h = hs[0]
+        if len(h) == 2 and h[1] % p:
+            return (_linear_root(h, p),)
     fs = []
     for h in hs:
         f = tuple(map(p.__rmod__, h))
@@ -523,7 +532,7 @@ def _fp_roots(fs: tuple, p: int) -> tuple:
     """
     low = min(fs, key=len)
     if len(low) == 2:
-        root = -low[0] * pow(low[1], -1, p) % p
+        root = _linear_root(low, p)
         return () if len(fs) > 1 and any(_fp_eval(f, root, p) for f in fs) else (root,)
     if len(low) == 1:
         return ()
@@ -543,6 +552,11 @@ def _fp_roots(fs: tuple, p: int) -> tuple:
     xp += [0] * (2 - len(xp))
     xp[1] = (xp[1] - 1) % p
     return tuple(_fp_split(_fp_gcd(g, xp, p) if _fp_trim(xp) else g, p))
+
+
+def _linear_root(h, p: int) -> int:
+    """The root in [0, p) of h0 + h1 x over F_p, p not dividing h1."""
+    return -h[0] * pow(h[1], -1, p) % p
 
 
 def _scan_roots(fs: tuple, p: int) -> tuple:
@@ -604,9 +618,8 @@ def _newton(h, r: int, p: int, m: int) -> int:
     return t
 
 
-# Bounded: count_roots (under canonical keys) and the mu-convolution check
-# route share it, and verify --suite oracle asks for thousands of distinct
-# keys.
+# Bounded: count_roots and the mu-convolution check route share it, and
+# verify --suite oracle asks for thousands of distinct keys.
 @lru_cache(maxsize=8192)
 def _local_root_count(polys_key, p: int, evec: tuple[int, ...], units_only: bool) -> int:
     """Solutions x mod p^max(evec) of g_i(x) = 0 (mod p^e_i) for all i.
@@ -667,28 +680,6 @@ def _unit_slope(h, p: int) -> bool:
     p^n of one class mod p^(n-1): h(u + p^(n-1) j) = h(u) + p^(n-1) j h'(u).
     """
     return len(h) > 1 and h[1] % p != 0 and not any(c % p for c in h[2:])
-
-
-def _canonical_pairs(polys_key, p: int, avec: tuple[int, ...]) -> tuple:
-    """The local system at p in canonical form, as ``_local_root_count`` takes it: (key, avec).
-
-    The local count at p depends only on the unordered pairs
-    (g_i mod p^a_i, a_i) with a_i >= 1.  So the pairs with a_i = 0 are
-    dropped, each g_i is reduced into [0, p^a_i) without trailing zeros,
-    and the pairs are sorted, so that permuted systems, g_i shifted by
-    multiples of m_i and moduli 1 share one key.
-    """
-    pairs = []
-    for g, a in zip(polys_key, avec):
-        if a:
-            q = p**a
-            h = tuple(map(q.__rmod__, g))
-            if h and not h[-1]:
-                h = tuple(_fp_trim(list(h)))
-            pairs.append((h, a))
-    if len(pairs) > 1:
-        pairs.sort()
-    return tuple(zip(*pairs))
 
 
 def _canonical_local(polys_key, p: int, avec: tuple[int, ...]) -> tuple:
@@ -825,8 +816,8 @@ def count_roots(system, moduli, units_only: bool = False, strategy: str = "multi
     residue: it tabulates g_i(x) mod m_i at every x mod m_i with
     ``poly_values_mod``, marks the zeros, and counts the x mod lcm where
     every mark is set.  "multiplicative" multiplies per-prime local counts,
-    each looked up in ``_local_root_count`` under the canonical key of its
-    local system (``_canonical_pairs``).
+    each the Hensel-tree count ``_local_root_count`` of the system's
+    coefficients at p and the exponent vector of p in the moduli.
     """
     key, mt = as_system_and_moduli(system, moduli)
     m = mt.lcm.value
@@ -842,8 +833,7 @@ def count_roots(system, moduli, units_only: bool = False, strategy: str = "multi
         raise DomainError(f"unknown strategy {strategy!r}")
     count = 1
     for p, evec in mt.profile:
-        local_key, avec = _canonical_pairs(key, p, evec)
-        count *= _local_root_count(local_key, p, avec, units_only)
+        count *= _local_root_count(key, p, evec, units_only)
         if count == 0:
             break
     return RootCount(count, m)

@@ -451,17 +451,22 @@ def _suite_average_order(max_x: int):
         yield f"ratio r={r} x={x}", lambda r=r, x=x: check(r, x)
 
 
+# Per suite: its builder, its default range, and the largest --max that
+# finished in about 10 s (a child process on a 2-core x86_64, Python
+# 3.11), above which ``run_suite`` raises ScaleError before any check runs.
+# None where a library cap already bounds the range: dirichlet's m <= 10^4
+# and average-order's x <= 10^6 raise ScaleError from ``asymptotics``.
 _SUITES = {
-    "orthogonality": (_suite_orthogonality, 60),
-    "cohen": (_suite_cohen, 200),
-    "oracle": (_suite_oracle, 6),
-    "closed-forms": (_suite_closed_forms, 500),
-    "prime-power": (_suite_prime_power, 3),
-    "t-a": (_suite_t_a, 12),
-    "multiplicativity": (_suite_multiplicativity, 500),
-    "identities": (_suite_identities, 300),
-    "dirichlet": (_suite_dirichlet, 2000),
-    "average-order": (_suite_average_order, 5000),
+    "orthogonality": (_suite_orthogonality, 60, 200),
+    "cohen": (_suite_cohen, 200, 2200),
+    "oracle": (_suite_oracle, 6, 22),
+    "closed-forms": (_suite_closed_forms, 500, 300_000),
+    "prime-power": (_suite_prime_power, 3, 7),
+    "t-a": (_suite_t_a, 12, 29),
+    "multiplicativity": (_suite_multiplicativity, 500, 40_000),
+    "identities": (_suite_identities, 300, 750),
+    "dirichlet": (_suite_dirichlet, 2000, None),
+    "average-order": (_suite_average_order, 5000, None),
 }
 
 
@@ -472,18 +477,22 @@ def suite_names() -> list[str]:
 def run_suite(name: str, max_n: int | None = None):
     """Run one named suite (or "all"); returns (label, ok) pairs in order.
 
-    max_n None runs each suite at its default range.
+    max_n None runs each suite at its default range.  A max_n above a
+    suite's ceiling is a ScaleError, and "all" checks every ceiling before
+    any check runs.
     """
     if max_n is not None and max_n < 1:
         raise DomainError(f"suite range must be >= 1, got {max_n}")
-    if name == "all":
-        out = []
-        for sub in _SUITES:
-            out += [(f"{sub}: {label}", ok) for label, ok in run_suite(sub, max_n)]
-        return out
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)} or 'all'")
-    builder, default_max = _SUITES[name]
-    if max_n is None:
-        max_n = default_max
-    return [(label, bool(thunk())) for label, thunk in builder(max_n)]
+    names = list(_SUITES) if name == "all" else [name]
+    for sub in names:
+        ceiling = _SUITES[sub][2]
+        if max_n is not None and ceiling is not None and max_n > ceiling:
+            raise ScaleError(f"suite {sub} range capped at <= {ceiling}, got {max_n}")
+    out = []
+    for sub in names:
+        builder, default_max, _ = _SUITES[sub]
+        prefix = f"{sub}: " if name == "all" else ""
+        out += [(prefix + label, bool(thunk())) for label, thunk in builder(default_max if max_n is None else max_n)]
+    return out

@@ -90,6 +90,39 @@ def test_factorize_around_the_trial_bound():
         assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
+def _trial_factors(n):
+    """The prime factorization of n by plain trial division: 2, then every odd d."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def test_factorize_equals_plain_trial_division_up_to_2_17():
+    factor = factorize.__wrapped__  # uncached, so the check leaves factorize's cache alone
+    for n in range(1, 2**17 + 1):
+        assert factor(n).factors == _trial_factors(n), n
+
+
+def test_factorize_at_the_trial_block_edges():
+    # the blocks of primes 7-61, 67-251 and 257-1021, and the wheel from 1031
+    sympy = pytest.importorskip("sympy")
+    cases = [61 * 67, 251 * 257, 1021 * 1031, 1021 * 1031 * 1033]
+    cases += [p * p for p in (61, 67, 251, 257, 1021, 1031)]
+    cases += [2**20 + k for k in range(-64, 65)]
+    cases += [7 * 61 * 67 * 251 * 257 * 1021 * 1031, 61**3 * 1021**2, 3 * 1031**2, 1031 * 1033]
+    for n in cases:
+        assert dict(factorize.__wrapped__(n).factors) == sympy.factorint(n), n
+
+
 def test_factorize_raises_scale_error_past_its_budget():
     # a probable prime above 3.3 * 10^24, which Miller-Rabin on 13 bases cannot prove
     with pytest.raises(ScaleError, match="cannot prove"):

@@ -9,9 +9,9 @@ import time
 
 import pytest
 
-from ramsum import cli
+from ramsum import cli, verify
 from ramsum.cli import CommandRequest, _tuple_space, execute, main, parse_args
-from ramsum.errors import DomainError
+from ramsum.errors import DomainError, ScaleError
 from ramsum.products import r_shift
 from ramsum.ramanujan import ramanujan_sum_totient_form
 from ramsum.verify import run_suite
@@ -490,6 +490,45 @@ def test_run_suite_rejects_nonpositive_range():
         for max_n in (0, -5):
             with pytest.raises(DomainError, match="must be >= 1"):
                 run_suite(name, max_n)
+
+
+def test_verify_max_above_a_suite_ceiling_exits_3_within_seconds():
+    # each grows as a power of --max: oracle and t-a enumerate [1, max]^3
+    for argv, suite in (
+        (["verify", "--suite", "oracle", "--max", "100"], "oracle"),
+        (["verify", "--suite", "t-a", "--max", "100"], "t-a"),
+        (["verify", "--suite", "all", "--max", "1000"], "orthogonality"),
+    ):
+        ceiling = verify._SUITES[suite][2]
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (3, ""), (argv, done.stderr[-2000:])
+        assert done.stderr == f"ramsum: scale error: suite {suite} range capped at <= {ceiling}, got {argv[-1]}\n"
+        assert time.perf_counter() - start < 10, argv
+
+
+def test_suite_ceilings_keep_every_documented_range():
+    # the defaults, the acceptance criteria's ranges and the README's example
+    used = {"orthogonality": 60, "cohen": 200, "oracle": 20, "closed-forms": 500, "prime-power": 3, "t-a": 12,
+            "multiplicativity": 500, "identities": 500, "dirichlet": 2000, "average-order": 5000}
+    for name, (_, default_max, ceiling) in verify._SUITES.items():
+        assert ceiling is None or max(default_max, used[name]) <= ceiling, name
+    # a library cap bounds the suites without a ceiling
+    for name, past_cap in (("dirichlet", 10**4 + 1), ("average-order", 10**6 + 1)):
+        assert verify._SUITES[name][2] is None
+        with pytest.raises(ScaleError):
+            run_suite(name, past_cap)
+
+
+def test_verify_all_checks_every_ceiling_before_any_check(monkeypatch):
+    def never(max_n):
+        raise AssertionError("a suite ran past a ceiling")
+
+    suites = {name: (never, *rest) for name, (_, *rest) in verify._SUITES.items()}
+    monkeypatch.setattr(verify, "_SUITES", suites)
+    over = min(ceiling for _, _, ceiling in suites.values() if ceiling) + 1
+    with pytest.raises(ScaleError, match="capped at"):
+        run_suite("all", over)
 
 
 def test_verify_output_is_byte_deterministic():

@@ -117,6 +117,7 @@ def _format(argv):
 @example(["asymptotic", "--r", "200", "--x", "100", "--prime-bound", "100"])
 @example(["alpha", "--r", "20000000000", "--prime-bound", "3"])
 @example(["roots", "--moduli", "1000000007", "--polys", _dense(8000)])  # past the F_p step cap
+@example(["verify", "--suite", "oracle", "--max", "100"])  # past the suite's ceiling
 def test_cli_argv_ends_in_an_exit_code_without_traceback(argv):
     done = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True, timeout=60)
     assert 0 <= done.returncode <= 4, (argv, done.returncode, done.stderr[-2000:])

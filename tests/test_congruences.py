@@ -487,6 +487,9 @@ def _root_systems(draw):
 @example(([[1, 1, 2], [0, 1, 0, 4]], 2))  # leading coefficients divisible by p
 @example(([[6, 5, 1, 0, 7]], 7))
 @example(([[1, 1], [2, 3, 5]], 5))  # degree 2 falls to 1 mod 5; two linear conditions
+@example(([[-3, 10**6 - 1]], 199))  # a lone linear condition with a unit slope
+@example(([[5, 14]], 7))  # a lone h0 + h1 x with p | h1: constant mod p, no roots
+@example(([[10**99 + 7, 3 * 10**99 + 1]], 197))  # 100-digit coefficients
 @settings(max_examples=400, deadline=None)
 def test_cached_root_finder_equals_a_residue_scan(case):
     hs, p = case
@@ -495,6 +498,16 @@ def test_cached_root_finder_equals_a_residue_scan(case):
     for _ in range(2):  # the second call may read the cache
         got = congruences._common_roots(hs, p)
         assert type(got) is tuple and sorted(got) == want
+
+
+def test_a_lone_linear_root_skips_the_root_cache():
+    cache = congruences._fp_roots
+    cache.cache_clear()
+    assert congruences._common_roots([[-3, 1]], 7) == (3,)
+    assert cache.cache_info().currsize == 0
+    # two conditions, even linear ones, go through the cache
+    assert congruences._common_roots([[-3, 1], [4, 1]], 7) == (3,)
+    assert cache.cache_info().currsize == 1
 
 
 def _no_scan(*args):
@@ -590,19 +603,6 @@ def test_canonical_local_strips_contents_and_trailing_zeros():
     key, avec = ((1, 1, 9), (8, 16), (0, 1), (5,)), (2, 3, 1, 0)
     for perm in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)):
         assert canonical(tuple(key[i] for i in perm), 3, tuple(avec[i] for i in perm)) == _reference_local(key, 3, avec)
-
-
-def test_canonical_pairs_reduce_sort_and_drop_moduli_1():
-    canonical = congruences._canonical_pairs
-    # 2x + 9 mod 3^2 and x^2 - 1 mod 3, and any condition with a = 0
-    key, avec = ((9, 2), (-1, 0, 1), (5, 7)), (2, 1, 0)
-    want = (((0, 2), (2, 0, 1)), (2, 1))
-    for perm in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
-        assert canonical(tuple(key[i] for i in perm), 3, tuple(avec[i] for i in perm)) == want
-    # each g_i shifted by a multiple of 3^a_i
-    assert canonical(((18, -7), (2, 3, 4), (1,)), 3, (2, 1, 0)) == want
-    # trailing zeros mod p^a go, and a multiple of p^a is the empty polynomial
-    assert canonical(((1, 3), (9, 18)), 3, (1, 2)) == (((), (1,)), (2, 1))
 
 
 def test_caches_keep_no_condition_above_degree_64():
@@ -774,7 +774,7 @@ def _count_cases(draw):
 @example((((),), (1,), [0], [[0]], False))  # the zero polynomial modulo 1
 @example((((0, 1), (-1, 0, 1)), (1, 8), [1, 0], [[2], [0, 0, 0, 1]], True))
 @settings(max_examples=200, deadline=None)
-def test_count_roots_under_canonical_keys_equals_direct_and_the_raw_key_counts(case):
+def test_count_roots_equals_direct_and_the_raw_key_counts_on_moved_systems(case):
     key, moduli, perm, shifts, units = case
     system = [IntPolynomial(g) for g in key]
     want = count_roots(system, moduli, units_only=units, strategy="direct").count
@@ -783,7 +783,7 @@ def test_count_roots_under_canonical_keys_equals_direct_and_the_raw_key_counts(c
         raw *= congruences._local_root_count(key, p, evec, units)
     assert raw == want
     assert count_roots(system, moduli, units_only=units).count == want
-    # permuted, and each g_i plus m_i times a polynomial: the same canonical keys
+    # permuted, and each g_i plus m_i times a polynomial: the same count
     moved = []
     for g, m, s in zip(key, moduli, shifts):
         coeffs = [0] * max(len(g), len(s))
