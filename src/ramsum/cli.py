@@ -14,11 +14,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from collections.abc import Iterator
 from functools import lru_cache, partial
 from itertools import islice, product as cartesian
 
+from .arith import euler_phi
 from .asymptotics import alpha_r, asymptotic_report
 from .congruences import as_poly_system, count_roots, linear_shift_poly, parse_polynomial
 from .errors import DomainError, PolynomialSyntaxError, ScaleError
@@ -288,17 +290,58 @@ def _evaluator(req: CommandRequest):
     return partial(direct if req.strategy == "direct" else fast, system)
 
 
+# The work of a --strategy direct table is capped at the largest measured to
+# finish in about 10 s in a child process (2-core x86_64, Python 3.11).  Its
+# unit is one residue product, about 25 ns: an E or R row costs r * lcm of them,
+# and tabulating the row c_m(g_i(x)) of each polynomial once per modulus m <= n
+# costs about 5 a residue and degree (65 ns by the difference nest, 105 ns by
+# Horner's rule above degree 64).  A T row costs its grid m^(r-1) * phi(m), in
+# grid steps of about 300 ns at r = 1, where the units mod m are listed too.
+_DIRECT_WORK_CAP = {"E": 400_000_000, "R": 400_000_000, "T": 30_000_000}
+_ROW_WEIGHT = 5
+
+
+def _check_direct_work(req: CommandRequest, tuples) -> None:
+    """ScaleError when a --strategy direct table's work passes its cap.
+
+    The rows of c_m(g_i(x)) are counted first, then each tuple's work is
+    added in row order, and the sum stops at the cap, before any value of
+    the table is computed.
+    """
+    n, total = req.range_max, 0
+    if req.subcommand == "T":
+
+        def work(moduli):
+            m = math.lcm(*moduli)
+            return m ** (len(moduli) - 1) * euler_phi(m)
+
+    else:
+        system = as_poly_system(req.polys or tuple(map(linear_shift_poly, req.shifts)))
+        r = len(system)
+        total = _ROW_WEIGHT * sum([max(g.degree, 1) for g in system]) * n * (n + 1) // 2
+
+        def work(moduli):
+            return r * math.lcm(*moduli)
+
+    cap = _DIRECT_WORK_CAP[req.subcommand]
+    for moduli in tuples:
+        total += work(moduli)
+        if total > cap:
+            raise ScaleError(f"--strategy direct --range {n} table exceeds {cap} units of work")
+
+
 def _table_values(req: CommandRequest, tuples) -> list:
     """The value of every row of a --range table, in the order of ``tuples``.
 
     c_n(a), E_G, R_G and T_a are multiplicative in the moduli, so a ``c``
     table, a fast ``E``/``R`` table and a closed or spectral ``T`` table
     are one box sieve each; a ``--strategy direct`` table evaluates tuple
-    by tuple.
+    by tuple, once its work is checked against its cap.
     """
     if req.subcommand == "c":
         return _ramanujan_table(req.a, req.range_max)
     if req.strategy == "direct":
+        _check_direct_work(req, _tuple_space(req))
         return list(map(_evaluator(req), tuples))
     if req.subcommand == "T":
         return _t_table(req.a, req.range_max, _arity(req), req.strategy)

@@ -13,9 +13,13 @@ row c_{m_i}(g_i(x)), x mod m_i, read off c_{m_i}'s row at the indices
 g_i(x) mod m_i.  For a linear a*x + b the indices run b, b + a, b + 2a,
 ... mod m_i, so the row is c_{m_i}'s row read with stride a mod m_i from
 b mod m_i (a rotation for a = 1), an index identity that uses no property
-of c_m, in slices while each pass over the row is at least 4 entries long;
-any other g_i, and a linear of shorter passes, is read at the values that
-``congruences.poly_values_mod`` tabulates by forward differences.
+of c_m, in slices while each pass over the row is at least 4 entries long.
+A quadratic c0 + c1 x + c2 x^2 with c2 a unit mod m_i satisfies
+g(t - x) = g(x) mod m_i for t = -c1/c2, so from m_i = 64 on it is read at
+half the residues and the other half in mirror order, another index
+identity.  Any other g_i, a quadratic mod a smaller m_i, and a linear of
+shorter passes, is read at the values that ``congruences.poly_values_mod``
+tabulates by forward differences.
 
 The fast paths evaluate the sums prime by prime.  Since
 c_{p^a}(n) = p^a [p^a | n] - p^(a-1) [p^(a-1) | n], each factor at p
@@ -43,7 +47,7 @@ exponent vector, is multiplied into the cells with those valuations.
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, compress, product as cartesian, repeat
+from itertools import chain, compress, islice, product as cartesian, repeat
 from operator import getitem, mul
 
 from .arith import (
@@ -79,6 +83,12 @@ _ORACLE_CAP = 10**6
 # 2-core x86_64, Python 3.11), so shorter passes go through the map.
 _MIN_PASS_LENGTH = 4
 
+# A quadratic read by reflection pays about 2.5 us more than the plain read
+# (the shifted polynomial, the inverse of c2 and the mirrored join) and saves
+# half the values: it is as fast near m = 64 and 10-20% faster at m = 128
+# (2-core x86_64, Python 3.11), so smaller moduli take the plain read.
+_MIN_REFLECTED_MODULUS = 64
+
 
 def _strided_slices(row: tuple, b: int, s: int):
     """Slices of row that join to row[(b + s*x) mod m] for x = 0..m-1.
@@ -98,6 +108,25 @@ def _strided_slices(row: tuple, b: int, s: int):
         b = (b + s * len(part)) % m
 
 
+def _reflected(h: list, m: int, t: int):
+    """g(x) for x = 0..m-1, from h[j] = g(x0 + j) for j = 0..m // 2, when g(t - x) = g(x).
+
+    Here x0 = ceil(t / 2), so g(x0 - i) is g(x0 + i) = h[i] for an even t
+    and g(x0 - 1 + i) = h[i - 1] for an odd t.  Going up from x0 the m
+    values are h, then h backwards from h[m - m // 2 - 1 - t mod 2] to
+    h[1 - t mod 2] (the mirror); the cycle is started at x = 0 and read
+    as islices of h and ``reversed(h)``, with no index or copy held.
+    """
+    half = m // 2
+    back = m - half - 1
+    first = half - back + (t & 1)
+    k = -((t + 1) // 2) % m
+    if k <= half:
+        return chain(islice(h, k, None), islice(reversed(h), first, first + back), islice(h, k))
+    k -= half + 1
+    return chain(islice(reversed(h), first + k, first + back), h, islice(reversed(h), first, first + k))
+
+
 @lru_cache(maxsize=1024)
 def _poly_c_values(coeffs: tuple[int, ...], m: int):
     """c_m(g(x)) for x = 0..m-1, as a tuple plus its max abs (at least 1).
@@ -105,13 +134,19 @@ def _poly_c_values(coeffs: tuple[int, ...], m: int):
     Each value is c_m's row read at g(x) mod m.  A linear a*x + b reads
     the row with stride s = a mod m from b mod m, an index identity that
     uses no property of c_m: a rotation when s = 1, and slices of the
-    cycled row while a pass over it is at least 4 entries long.  Any other
-    g, and a linear of shorter passes, reads the row at the values of
-    ``poly_values_mod``, looked up one by one at C level
-    (``operator.getitem``), with no index table held.  Since
+    cycled row while a pass over it is at least 4 entries long.  A
+    quadratic c0 + c1*x + c2*x^2 with c2 a unit mod m is symmetric about
+    t = -c1/c2 mod m, since g(y) - g(x) = (y - x)(c2 (x + y) + c1): from
+    m = 64 on it is read at g(x0 + j) for j <= m // 2, x0 = ceil(t / 2),
+    one ``poly_values_mod`` of the shifted g, and the other values are
+    those read again in mirror order (``_reflected``).  Any other g, a
+    quadratic mod a smaller m, and a linear of shorter passes, reads the
+    row at the values of ``poly_values_mod``, looked up one by one at C
+    level (``operator.getitem``), with no index table held.  Since
     |c_m(n)| <= phi(m) = c_m(0), the max abs is phi(m) whenever +-phi(m)
     occurs among the entries read, and is scanned for otherwise; slices
-    read the entries at the indices = b (mod gcd(a, m)), each as often.
+    read the entries at the indices = b (mod gcd(a, m)), each as often,
+    and the reflected read's half holds every value.
     """
     row = ramanujan_row(m)
     s = coeffs[1] % m if len(coeffs) == 2 else 0
@@ -123,6 +158,13 @@ def _poly_c_values(coeffs: tuple[int, ...], m: int):
         vals = tuple(chain.from_iterable(_strided_slices(row, b, s)))
         g = math.gcd(s, m)
         seen = row[b % g :: g]
+    elif len(coeffs) == 3 and m >= _MIN_REFLECTED_MODULUS and math.gcd(coeffs[2], m) == 1:
+        c0, c1, c2 = coeffs
+        t = -c1 * pow(c2, -1, m) % m
+        x0 = (t + 1) // 2
+        shifted = IntPolynomial(((c2 * x0 + c1) * x0 + c0, 2 * c2 * x0 + c1, c2))
+        seen = list(map(getitem, repeat(row), islice(poly_values_mod(shifted, m), m // 2 + 1)))
+        vals = tuple(_reflected(seen, m, t))
     else:
         vals = seen = tuple(map(getitem, repeat(row), poly_values_mod(IntPolynomial(coeffs), m)))
     top = row[0]

@@ -1,15 +1,19 @@
 """Ramanujan sums c_n(k), exactly and by floating-point oracle.
 
-The production evaluator uses the divisor-sum representation
-c_n(k) = sum_{d | gcd(k, n)} d * mu(n/d); the exponential form (sum of
-k-th powers of the primitive n-th roots of unity) is kept only as a
-cross-validation oracle and never feeds any exact result.
+Both exact evaluators use the divisor-sum representation
+c_n(k) = sum_{d | gcd(k, n)} d * mu(n/d).  ``ramanujan_sum`` evaluates it
+as its product over the primes of n; ``ramanujan_row`` tabulates c_n(k)
+for every k mod n by the sum itself, each term d * mu(n/d) with n/d
+squarefree added at the multiples of d, using no multiplicativity in n,
+so each checks the other.  The exponential form (sum of k-th powers of
+the primitive n-th roots of unity) is kept only as a cross-validation
+oracle and never feeds any exact result.
 """
 
 import math
 from functools import lru_cache
 
-from .arith import _valuation, divisors, euler_phi, factorize, mobius
+from .arith import _valuation, euler_phi, factorize, mobius
 from .errors import DomainError, ScaleError
 
 
@@ -52,15 +56,29 @@ def ramanujan_sum_totient_form(n: int, k: int) -> int:
 
 @lru_cache(maxsize=1024)
 def ramanujan_row(n: int) -> tuple[int, ...]:
-    """(c_n(0), c_n(1), ..., c_n(n-1)), built by sieving d*mu(n/d)."""
+    """(c_n(0), c_n(1), ..., c_n(n-1)), built by sieving d*mu(n/d).
+
+    Only the d with n/d squarefree survive mu(n/d): d = d0 * e for each
+    e | rad(n), with d0 = n / rad(n) and mu(n/d) = mu(rad(n)/e), read off
+    n's one factorization.  The smallest, d0 * mu(rad(n)) at the multiples
+    of d0, is laid down as one C-level repeated list; every other term is
+    a multiple of d0 and is added along its strided slice.
+    """
     if n < 1:
         raise DomainError(f"modulus must be positive, got {n}")
-    row = [0] * n
-    for d in divisors(n):
-        w = mobius(n // d)
-        if w:
-            wd = w * d
-            row[::d] = [v + wd for v in row[::d]]
+    primes = [p for p, _ in factorize(n).factors]
+    rad = math.prod(primes)
+    d0 = n // rad
+    w0 = -1 if len(primes) % 2 else 1
+    # (e, mu(rad/e)) for the squarefree e | rad, e = 1 first
+    terms = [(1, w0)]
+    for p in primes:
+        terms += [(e * p, -w) for e, w in terms]
+    row = ([w0 * d0] + [0] * (d0 - 1)) * rad
+    for e, w in terms[1:]:
+        d = d0 * e
+        wd = w * d
+        row[::d] = [v + wd for v in row[::d]]
     return tuple(row)
 
 

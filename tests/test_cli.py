@@ -492,6 +492,48 @@ def test_run_suite_rejects_nonpositive_range():
                 run_suite(name, max_n)
 
 
+def test_direct_table_past_its_work_cap_exits_3_within_seconds():
+    # E took 21.7 s at --range 240 and would run for hours at 1000; the
+    # T grid is past its cap at --r 2 --range 1000
+    for argv in (
+        ["E", "--polys", "x;x^2-1", "--strategy", "direct", "--range", "1000"],
+        ["T", "--a", "12", "--r", "2", "--strategy", "direct", "--range", "1000"],
+    ):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (3, ""), (argv, done.stderr[-2000:])
+        cap = cli._DIRECT_WORK_CAP[argv[0]]
+        assert done.stderr == f"ramsum: scale error: --strategy direct --range 1000 table exceeds {cap} units of work\n"
+        assert time.perf_counter() - start < 10, argv
+
+
+def test_direct_table_work_is_checked_before_any_value(capsys, monkeypatch):
+    # the largest measured table of each kind passes; one more modulus, an r = 1
+    # table whose high-degree rows cost more than its products, and a T table
+    # of one modulus a row are refused before any oracle runs
+    def checked(argv):
+        req = parse_args([*argv, "--strategy", "direct"])
+        cli._check_direct_work(req, _tuple_space(req))
+
+    checked(["E", "--polys", "x;x^2-1", "--range", "181"])
+    checked(["T", "--a", "12", "--range", "9934"])
+
+    def never(*args, **kwargs):
+        raise AssertionError("a capped direct table computed a value")
+
+    for name in ("e_g_direct", "r_g_direct", "t_a"):
+        monkeypatch.setattr(cli, name, never)
+    for argv in (
+        ["E", "--polys", "x;x^2-1", "--range", "182"],
+        ["R", "--polys", "x^60+3", "--range", "2000"],
+        ["R", "--shifts", "1,2,3", "--range", "100"],
+        ["T", "--a", "12", "--range", "9935"],
+    ):
+        code, out, err = run_main(capsys, *argv, "--strategy", "direct")
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(f"ramsum: scale error: --strategy direct --range {argv[-1]} table exceeds "), argv
+
+
 def test_verify_max_above_a_suite_ceiling_exits_3_within_seconds():
     # each grows as a power of --max: oracle and t-a enumerate [1, max]^3
     for argv, suite in (

@@ -6,9 +6,10 @@ import time
 from fractions import Fraction
 from functools import partial
 from itertools import product, zip_longest
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramsum import (
@@ -35,6 +36,7 @@ from ramsum import (
     ramanujan_sum,
     x_r_value,
 )
+from ramsum import products
 from ramsum.congruences import _canonical_local, _local_class_sum
 from ramsum.products import _convolve, _poly_convolve, _product_sum_table, _ramanujan_table, _shift_key
 from ramsum.ramanujan import ramanujan_sum_totient_form
@@ -61,8 +63,8 @@ def test_poly_c_values_on_linears_is_the_definition():
     # slices or through the index map: every a mod m in 0..m-1 (0 gives a
     # constant row, gcd(a, m) > 1 repeats a shorter period, a > m/2 reads the
     # reversed row), negative and huge a and b, and m = 1; the quadratics
-    # x^2 - 1, x^2 + x + 1 and a cubic take poly_values_mod.  The max abs is
-    # phi(m) exactly when +-phi(m) is read
+    # x^2 - 1 and x^2 + x + 1 are read by reflection at m = 97, and a cubic
+    # takes poly_values_mod.  The max abs is phi(m) exactly when +-phi(m) is read
     from ramsum.products import _poly_c_values
 
     def check(coeffs, m, table):
@@ -95,6 +97,41 @@ def test_poly_c_values_on_linears_is_the_definition():
     assert check((1, 1, 1), 5, [4, -1, -1, -1, -1]) == 1
     # 2x + 1 mod 4 reads only c_4(1) = c_4(3) = 0
     assert check((1, 2), 4, [2, 0, -2, 0]) == 1
+
+
+_BIG = st.integers(10**99, 10**100)
+
+
+@st.composite
+def _quadratic_rows(draw):
+    """(c0, c1, c2) and m: g = c0 + c1 x + c2 x^2 symmetric about t mod m when c2 is a unit."""
+    m = draw(st.one_of(st.integers(1, 400), st.sampled_from((2**12, 3**7, 5**5, 7**4, 11**3, 101**2, 4099))))
+    c2 = draw(st.one_of(st.integers(-60, 60).filter(bool), _BIG, _BIG.map(int.__neg__)))
+    t = draw(st.one_of(st.just(0), st.just(m - 1), st.integers(0, m - 1)))
+    c1 = -c2 * t + m * draw(st.one_of(st.integers(-3, 3), _BIG, _BIG.map(int.__neg__)))
+    c0 = draw(st.one_of(st.integers(-1000, 1000), _BIG, _BIG.map(int.__neg__)))
+    return (c0, c1, c2), m
+
+
+@given(_quadratic_rows())
+@settings(max_examples=300, deadline=None)
+@example(((1, 0, 2), 4))  # c2 not a unit: the poly_values_mod fallback
+@example(((-7, 12, 6), 360))
+@example(((3, 0, 10**100), 1000))
+@example(((5, 0, 1), 1))  # m below the reflected read's least modulus
+@example(((5, 0, 1), 64))
+@example(((2, -2 * 4098, 1), 4099))  # t = m - 1
+def test_quadratic_rows_read_by_reflection_are_the_definition(case):
+    # the values and the max abs against c_m at g(x) evaluated in full, and the
+    # reflection taken exactly when c2 is a unit mod m and m is at least 64
+    coeffs, m = case
+    with mock.patch.object(products, "_reflected", wraps=products._reflected) as reflected:
+        vals, vmax = products._poly_c_values.__wrapped__(coeffs, m)
+    c0, c1, c2 = coeffs
+    want = tuple(ramanujan_sum(m, c0 + c1 * x + c2 * x * x) for x in range(m))
+    assert vals == want
+    assert vmax == max(1, max(map(abs, want)))
+    assert reflected.called == (m >= products._MIN_REFLECTED_MODULUS and math.gcd(c2, m) == 1)
 
 
 def _plain_loop(polys, moduli):

@@ -81,9 +81,31 @@ def test_special_arguments():
 
 def test_row_matches_divisor_sum():
     assert ramanujan_row(6) == (2, 1, -1, -2, -1, 1)
+    # every n <= 3000: ramanujan_sum depends on k only through gcd(k mod n, n),
+    # so it is evaluated once per divisor and read at every k
+    for n in range(1, 3001):
+        at = {d: ramanujan_sum(n, d) for d in divisors(n)}
+        assert ramanujan_row(n) == tuple([at[math.gcd(k, n)] for k in range(n)]), n
     # 19746 = 2 * 3^2 * 1097, 30030 squarefree with six primes, 65536 = 2^16
-    for n in (1, 6, 19746, 30030, 65536):
+    for n in (19746, 30030, 65536):
         assert ramanujan_row(n) == tuple(ramanujan_sum(n, k) for k in range(n)), n
+
+
+def _sieved_row(n):
+    """c_n(k) for k mod n: d * mu(n/d) added at every multiple of each divisor d."""
+    row = [0] * n
+    for d in divisors(n):
+        w = mobius(n // d)
+        for k in range(0, n, d):
+            row[k] += w * d
+    return tuple(row)
+
+
+def test_row_equals_a_plain_divisor_sieve():
+    # prime powers (one squarefree term past the pattern), two large primes,
+    # a square times two primes, and squarefree n with 6 and 7 primes
+    for n in (2**14, 3**9, 19039, 16780, 30030, 510510):
+        assert ramanujan_row(n) == _sieved_row(n), n
 
 
 def test_table_row_invariants():
