@@ -12,13 +12,15 @@ R(m) = m g_r(m) for every m <= x, for the sieve of g_r and the check of
 the convolution identity, R(m) = sum_{d|m} (d F_r(d)) (m/d)^r.  The
 smallest-prime-factor table is a 2-byte array that holds only the primes
 up to sqrt(x), and the prime sieve stores odd numbers only.  The
-partial sum splits on the largest prime factor: with s = isqrt(x), it
-sieves R only at the s-smooth m and adds their D g_r(m), integers for D
-the product of the primes up to s; every other m is k p with one prime
-p > s and k <= s, and each such p adds x_r(p)/p times a prefix sum of
-g_r in one division by p.  The residues mod the large primes are added
-by a product tree (binary splitting) into a single Fraction, which is
-reduced by a gcd with D alone.
+partial sum shares none of that pass.  It splits on the largest prime
+factor: with s = isqrt(x) and D the product of the primes up to s, the
+s-smooth m add D g_r(m), integers, summed by a recursion over their
+smallest prime factor whose leaves are prefix sums over the primes up
+to s; every other m is k p with one prime p > s and k <= s, and each
+such p adds x_r(p)/p times a prefix sum of g_r in one division by p.
+The residues mod the large primes are added by a product tree (binary
+splitting) into a single Fraction, which is reduced by a gcd with D
+alone.
 """
 
 import math
@@ -26,8 +28,7 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, islice, repeat
-from operator import floordiv, mul
+from itertools import accumulate, islice
 
 from .arith import _primes_upto, _Record
 from .errors import DomainError, ScaleError
@@ -166,28 +167,22 @@ def _multiplicative_ints(spf: array, at_p, at_p2, step, indices) -> list[int]:
     return out
 
 
-def _r_locals(r: int, primes: list[int], bound: int) -> tuple[dict, dict, dict]:
-    """The local data of R(m) = m g_r(m) for ``_multiplicative_ints``.
+def _r_sieve(r: int, x: int) -> tuple[array, list[int]]:
+    """The ``_spf_table`` of x and R(m) = m g_r(m) for every m <= x.
 
     R is multiplicative with R(p) = x_r(p) and, for e >= 2,
     R(p^e) = p^e p^((e-1)(r-1)) (p-1) h_r(p), so R(p^(e+1)) = p^r R(p^e).
-    R(p) is given at every p in primes, the other two at p <= bound.
     R(p^2) comes from ``products._r_local``; R(p) is its e = 1 case,
     x_r(p) = (p-1)^r + (-1)^r (p-2), written out here so that no call or
     cap check is paid per prime: the callers have checked r already.
     """
-    small = primes[: bisect_right(primes, bound)]
+    spf = _spf_table(x)
+    primes = _primes_upto(x)
+    small = primes[: bisect_right(primes, math.isqrt(x))]
     sign = (-1) ** r
     at_p = {p: (p - 1) ** r + sign * (p - 2) for p in primes}
     at_p2 = {p: _r_local(p, (2,) * r) for p in small}
-    return at_p, at_p2, {p: p**r for p in small}
-
-
-def _r_sieve(r: int, x: int) -> tuple[array, list[int]]:
-    """The ``_spf_table`` of x and R(m) = m g_r(m) for every m <= x."""
-    spf = _spf_table(x)
-    local = _r_locals(r, _primes_upto(x), math.isqrt(x))
-    return spf, _multiplicative_ints(spf, *local, range(2, x + 1))
+    return spf, _multiplicative_ints(spf, at_p, at_p2, {p: p**r for p in small}, range(2, x + 1))
 
 
 def _check_sieve_args(r: int, x: int) -> None:
@@ -294,14 +289,44 @@ def g_r_partial_sum(r: int, x: int) -> Fraction:
     sum_{smooth m} g_r(m) + sum_{s < p <= x} (x_r(p)/p) S(x // p), where
     S(y) is the sum of g_r(k) for k <= y.  The denominator of
     g_r(m) = R(m)/m divides the product of the primes dividing m once
-    (R(p^e) is a multiple of p^e for e >= 2), so for smooth m it divides
-    D, the product of the primes p <= s, and D g_r(m) = R(m) D // m is an
-    integer; R is sieved at the smooth m only, since m/p of a smooth m is
-    smooth.  Each large prime adds one divmod of x_r(p) N(x // p) by p,
-    with N = D S: the quotient goes to a running integer W and the residue
-    c_p/p to a product tree (binary splitting) that sums them into one
-    fraction C/P, P the product of the large p with c_p != 0, and the sum
-    is (W P + C)/(D P).
+    (g_r(p^e) = R(p^e)/p^e is an integer for e >= 2), so for smooth m it
+    divides D, the product of the primes p <= s, and both halves are
+    summed as integers, D times their value.
+
+    The smooth half is D + F(x, 0), by a recursion over the smallest prime
+    factor.  With p_0 < p_1 < ... the primes up to s, F(v, j) is D times
+    the sum of g_r(k) over 1 < k <= v with every prime factor in [p_j, s].
+    Such a k is a prime p_i <= min(v, s), or its smallest prime p_i has
+    p_i^2 <= k <= v.  The primes are the leaf: D g_r(p_i) summed over
+    i >= j, one difference of prefix sums.  The others are walked for
+    each i >= j up to the first p_i^2 > v, where the recursion stops.
+    With p = p_i and k = p^e k', the primes of k' in [p_(i+1), s], they add
+    g_r(p^e) F(v // p^e, i + 1) + D g_r(p^(e+1)) for each e >= 1 with
+    p^(e+1) <= v; a larger p^e leaves no room for k' or for p^(e+1).  For
+    e >= 2 each g_r(p^e) is an integer: g_r(p^2) = R(p^2)/p^2 from
+    ``products._r_local``, and each further power multiplies it by
+    p^(r-1).  At e = 1, g_r(p) = x_r(p)/p, and F(v // p, i + 1) is a
+    multiple of p: it is D times a sum of g_r(k') whose denominators
+    divide the product of the primes in (p, s], so it is a multiple of
+    every prime up to p.  The recursion runs down an explicit stack.  A
+    node F(v, j) is reached with a weight c/q, the product of the factors
+    g_r(p^e) on its path, where q is the product of the primes taken once
+    (g_r(p) = x_r(p)/p), and adds c (L // q), where L is the node's own
+    part: its leaf and its terms D g_r(p^(e+1)).  The division is exact by the same argument: L
+    is D times a sum of g_r over numbers whose primes lie in [p_j, s], and
+    the primes of q are distinct and below p_j.  The prefix N = D S at every
+    k <= s comes from a walk over the same smallest primes: every k <= s
+    is smooth, D g_r(k p) = (D g_r(k) // p) x_r(p) for p not dividing k,
+    exact for the same reason, and D g_r(k p^e) = D g_r(k) g_r(p^e).
+    The work grows with the recursion's nodes (850 at x = 30367), not with
+    the smooth m (11145 there); nothing x-sized is held but the primes,
+    and no reference cycle is left for the garbage collector.
+
+    Each large prime adds one divmod of x_r(p) N(x // p) by p: the
+    quotient goes to a running integer W and the residue c_p/p to a
+    product tree (binary splitting) that sums them into one fraction C/P,
+    P the product of the large p with c_p != 0, and the sum is
+    (W P + C)/(D P).
 
     That fraction is reduced by a gcd with D alone.  W P + C is prime to
     P: for each such p, C is c_p (P/p) plus a multiple of p, and neither
@@ -316,22 +341,56 @@ def g_r_partial_sum(r: int, x: int) -> Fraction:
     s = math.isqrt(x)
     primes = _primes_upto(x)
     cut = bisect_right(primes, s)
-    large = primes[cut:]
-    smooth = bytearray([1]) * (x + 1)
-    smooth[0] = 0
-    for p in large:
-        smooth[p::p] = bytes(x // p)
-    at_p, at_p2, step = _r_locals(r, primes, s)
-    # 1 is the first smooth m, and the kernel sets f(1) itself
-    big_r = _multiplicative_ints(_spf_table(x), at_p, at_p2, step, islice(compress(range(x + 1), smooth), 1, None))
-    d = math.prod(primes[:cut])
-    scaled = map(floordiv, map(mul, compress(big_r, smooth), repeat(d)), compress(range(x + 1), smooth))
-    # every k <= s is smooth, so the first s scaled values give N(1..s)
-    prefix = [0, *accumulate(islice(scaled, s))]
-    whole = prefix[-1] + sum(scaled)
+    small = primes[:cut]
+    d = math.prod(small)
+    sign = (-1) ** r
+    at_p = [(p - 1) ** r + sign * (p - 2) for p in small]  # x_r(p) = R(p)
+    at_p2 = [_r_local(p, (2,) * r) // (p * p) for p in small]  # g_r(p^2)
+    steps = [p ** (r - 1) for p in small]
+    leaf = [0, *accumulate(d // p * xp for p, xp in zip(small, at_p))]
+
+    # F(x, 0): each node (v, j, c, q) adds c (L // q) and pushes its children
+    whole = d
+    stack = [(x, 0, 1, 1)]
+    while stack:
+        v, j, c, q = stack.pop()
+        local = leaf[bisect_right(small, v)] - leaf[j]
+        for i in range(j, cut):
+            p = small[i]
+            if p * p > v:
+                break
+            g = at_p2[i]
+            local += d * g
+            stack.append((v // p, i + 1, c * at_p[i], q * p))
+            w = v // p // p
+            while w >= p:
+                stack.append((w, i + 1, c * g, q))
+                g *= steps[i]
+                local += d * g
+                w //= p
+        whole += c * (local // q)
+
+    scaled = [0, d] + [0] * (s - 1)  # D g_r(k) at k <= s
+    stack = [(1, 0)]
+    while stack:
+        k, j = stack.pop()
+        base = scaled[k]
+        for i in range(j, cut):
+            p = small[i]
+            m = k * p
+            if m > s:
+                break
+            scaled[m] = base // p * at_p[i]
+            stack.append((m, i + 1))
+            g = at_p2[i]
+            while (m := m * p) <= s:
+                scaled[m] = base * g
+                stack.append((m, i + 1))
+                g *= steps[i]
+    prefix = list(accumulate(scaled))
     terms = []
-    for p in large:
-        carry, c = divmod(at_p[p] * prefix[x // p], p)
+    for p in islice(primes, cut, None):
+        carry, c = divmod(((p - 1) ** r + sign * (p - 2)) * prefix[x // p], p)
         whole += carry
         if c:
             terms.append((c, p))

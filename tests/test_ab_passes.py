@@ -40,3 +40,38 @@ def test_digest_verdicts_per_side():
     assert ab_passes.digest_verdicts([good], "b") == {"parent": False, "change": False}
     # with no recorded digest the sides are held to the first pass
     assert ab_passes.digest_verdicts([good], None) == {"parent": True, "change": True}
+
+
+class _FixedProbe:
+    """A probe whose scale is fixed, so every time it scales becomes that scale times the raw time."""
+
+    def __init__(self, scale):
+        self.factor = scale
+
+    def time(self):
+        return 1.0
+
+    def scale(self, before, after):
+        return self.factor
+
+
+class _Cache:
+    def __init__(self):
+        self.cleared = 0
+
+    def cache_clear(self):
+        self.cleared += 1
+
+
+def test_passes_run_through_the_benchmark_pass_with_its_probe():
+    calls = {"ok": lambda n: n + 1, "bad": lambda n: 1 // n}
+    evals = [("ok", (1,)), ("ok", (2,)), ("bad", (3,))]
+    cache = _Cache()
+    runs = ab_passes.run_passes(calls, {id(cache): cache}, evals, 3, _FixedProbe(0.0))
+    assert cache.cleared == 3  # cold caches before every pass
+    # every time is scaled by the probe: a zero scale leaves zero seconds
+    assert [run[:2] for run in runs] == [(0.0, 0.0)] * 3
+    assert len({run[2] for run in runs}) == 1 and runs[0][2] is not None
+    # an evaluation that raises leaves no digest
+    assert ab_passes.run_passes(calls, {}, [("bad", (0,))], 1, _FixedProbe(1.0))[0][2] is None
+    assert ab_passes.run_pass.__module__ == "run"

@@ -1,6 +1,8 @@
+import gc
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -296,6 +298,68 @@ def test_partial_sum_is_reduced_across_square_boundaries(s):
 
 def test_partial_sum_is_reduced_near_benchmark_size():
     _assert_reduced_sieve_sum(2, 30011)
+
+
+# q prime: isqrt(x) steps from q - 1 to q between q^2 - 1 and q^2, so q joins
+# the small primes as their largest, equal to s, and the leaf cut p^2 > v
+# switches at v = x for p = q
+@pytest.mark.parametrize("q", [11, 13, 173])
+def test_partial_sum_at_prime_square_edges(q):
+    for x in (q * q - 1, q * q, q * q + 1):
+        for r in (2, 3):
+            _assert_reduced_sieve_sum(r, x)
+
+
+def test_partial_sum_with_no_small_primes():
+    # s = 1 for x <= 3: no small primes, D = 1, and the recursion is empty
+    for x in (1, 2, 3):
+        for r in (2, 3, 4, 5):
+            _assert_reduced_sieve_sum(r, x)
+
+
+@pytest.mark.parametrize("r", [5, 6, 51])
+def test_partial_sum_at_larger_r(r):
+    # g_r(p^(e+1)) = p^(r-1) g_r(p^e): the step of the recursion's powers
+    for x in range(1, 201):
+        _assert_reduced_sieve_sum(r, x)
+
+
+def test_partial_sum_does_not_go_through_the_sieve(monkeypatch):
+    # the sieve checks the partial sum, so the partial sum must not share its kernel
+    expected = sum(g_r_sieve(3, 5000))
+
+    def forbidden(*args):
+        raise AssertionError("the partial sum reached the sieve")
+
+    for name in ("_multiplicative_ints", "_spf_table", "_r_sieve"):
+        monkeypatch.setattr(asymptotics, name, forbidden)
+    assert g_r_partial_sum(3, 5000) == expected
+    with pytest.raises(AssertionError, match="reached the sieve"):
+        g_r_sieve(3, 10)
+
+
+def test_partial_sum_leaves_no_reference_cycles():
+    # a cycle keeps the local tables alive until a full collection, so
+    # repeated calls would raise the peak resident memory
+    gc.collect()
+    gc.disable()
+    try:
+        g_r_partial_sum(3, 5000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_partial_sum_holds_nothing_x_sized():
+    # one R(m) per m <= x peaked at 9.8e6 bytes at x = 200000; the recursion
+    # holds the primes and the large-prime residues, about 4.4e6
+    tracemalloc.start()
+    try:
+        g_r_partial_sum(2, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
 
 
 def _trial_division_primes(bound):

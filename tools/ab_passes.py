@@ -16,12 +16,17 @@ passes, of each pass's median evaluation), the rounds the side wins on
 each by its round's medians, and whether every pass's digest equals the
 one ``perfbench/digests.json`` records for the seed.
 
+Each pass runs through ``perfbench/run.py``'s ``run_pass`` with the probe
+of the workload's ``workloads.PROBE_KIND``, so its times are
+reference-speed seconds, as the benchmark's are: the machine's speed
+swings with load outside this process, and raw ``perf_counter`` seconds
+swing with it.
+
 This sizes an effect; it does not claim one.  The two sides share one
-process, so it measures neither resident memory nor set-up, and its times
-are raw ``perf_counter`` seconds, not scaled by the benchmark's probe.
-Claims stay with ``tools/ab_bench.py``, which runs ``perfbench/run.py`` for
-each side in its own processes.  Writes nothing under ``perfbench/``.  Uses
-the standard library only.
+process, so it measures neither resident memory nor set-up.  Claims stay
+with ``tools/ab_bench.py``, which runs ``perfbench/run.py`` for each side
+in its own processes.  Writes nothing under ``perfbench/``.  Uses the
+standard library only.
 """
 
 import argparse
@@ -35,7 +40,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave perfbench/ and the exported tree as they are
@@ -43,6 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+from probe import Probe  # noqa: E402
+from run import run_pass  # noqa: E402
 
 PARENT = "HEAD"
 SIDES = ("parent", "change")
@@ -61,7 +67,7 @@ def import_tree(name, directory):
 
 
 def lru_caches(package):
-    """Every lru_cache-wrapped function in the package's modules, each once."""
+    """Every lru_cache-wrapped function in the package's modules, each once, keyed by id."""
     prefix = package.__name__ + "."
     caches = {}
     for module in vars(package).values():
@@ -69,7 +75,7 @@ def lru_caches(package):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info"):
                     caches[id(obj)] = obj
-    return list(caches.values())
+    return caches
 
 
 def round_sides(rnd):
@@ -77,24 +83,16 @@ def round_sides(rnd):
     return SIDES if rnd % 2 else SIDES[::-1]
 
 
-def run_passes(package, caches, evals, passes):
-    """Per pass: (pass seconds, median evaluation seconds, digest or None when an evaluation raised)."""
-    calls = workloads.bind(package)
-    clock = time.perf_counter
+def run_passes(calls, caches, evals, passes, speed):
+    """Per pass: (pass seconds, median evaluation seconds, digest or None when an evaluation raised).
+
+    Each pass is ``run_pass``'s, with cold caches and times scaled to the
+    reference speed by the ``speed`` probe.
+    """
     out = []
     for _ in range(passes):
-        for cache in caches:
-            cache.cache_clear()
-        times, outputs, failed = [], [], False
-        for kind, args in evals:
-            t0 = clock()
-            try:
-                result = calls[kind](*args)
-            except Exception as exc:  # reported by a missing digest, as run.py counts it
-                result, failed = exc, True
-            times.append(clock() - t0)
-            outputs.append(result)
-        out.append((sum(times), statistics.median(times), None if failed else workloads.digest(outputs)))
+        outputs, times, errors = run_pass(evals, calls, caches, speed=speed)
+        out.append((sum(times), statistics.median(times), None if errors else workloads.digest(outputs)))
     return out
 
 
@@ -152,13 +150,15 @@ def main(argv=None):
         }
     finally:
         shutil.rmtree(base, ignore_errors=True)
+    calls = {side: workloads.bind(package) for side, package in packages.items()}
     caches = {side: lru_caches(package) for side, package in packages.items()}
     evals = workloads.generate(args.workload, args.seed)
+    speed = Probe(workloads.PROBE_KIND[args.workload])
 
     rounds = []
     for rnd in range(1, args.rounds + 1):
         rounds.append(
-            {side: run_passes(packages[side], caches[side], evals, args.passes) for side in round_sides(rnd)}
+            {side: run_passes(calls[side], caches[side], evals, args.passes, speed) for side in round_sides(rnd)}
         )
     summary = summarize(rounds)
     recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text()).get(args.workload, {})
@@ -166,7 +166,8 @@ def main(argv=None):
     verdicts = digest_verdicts(rounds, recorded)
 
     print(f"workload {args.workload} seed {args.seed}: {len(evals)} evaluations, {args.rounds} rounds of "
-          f"{args.passes} passes a side, caches cleared before each pass; raw perf_counter times")
+          f"{args.passes} passes a side, caches cleared before each pass; times at reference speed "
+          f"({workloads.PROBE_KIND[args.workload]} probe)")
     print(f"{'side':<8}{'pass ms':>10}{'eval us':>10}{'pass wins':>11}{'eval wins':>11}  digests")
     for side in SIDES:
         row = summary[side]
