@@ -7,20 +7,20 @@ x_r(p) = (p-1)^r + (-1)^r (p-2).  Its partial sums grow like
 computes alpha_r from exact integer factor numerators, sums g_r exactly,
 and verifies the underlying convolution identity g_r = F_r * id_{r-1}.
 
-The exact work is done in integers.  A smallest-prime-factor pass builds
-R(m) = m g_r(m) for every m <= x, for the sieve of g_r and the check of
-the convolution identity, R(m) = sum_{d|m} (d F_r(d)) (m/d)^r.  The
-smallest-prime-factor table is a 2-byte array that holds only the primes
-up to sqrt(x), and the prime sieve stores odd numbers only.  The
-partial sum shares none of that pass.  It splits on the largest prime
-factor: with s = isqrt(x) and D the product of the primes up to s, the
-s-smooth m add D g_r(m), integers, summed by a recursion over their
-smallest prime factor whose leaves are prefix sums over the primes up
-to s; every other m is k p with one prime p > s and k <= s, and each
-such p adds x_r(p)/p times a prefix sum of g_r in one division by p.
-The residues mod the large primes are added by a product tree (binary
+The exact work is done in integers.  The sieve of g_r builds R(m) = m g_r(m)
+for every m <= x in one smallest-prime-factor pass, along a 2-byte array
+that holds only the primes up to sqrt(x), and the prime sieve stores odd
+numbers only.  The partial sum shares none of that pass.  It splits on the
+largest prime factor: with s = isqrt(x) and D the product of the primes
+up to s, the s-smooth m add D g_r(m), integers, summed by one walk over
+their smallest prime factor that also records D g_r(k) at every k <= s;
+every other m is k p with one prime p > s and k <= s, and each such p
+adds x_r(p)/p times a prefix sum of g_r in one division by p.  The
+residues mod the large primes are added by a product tree (binary
 splitting) into a single Fraction, which is reduced by a gcd with D
-alone.
+alone.  The check of the convolution identity,
+R(m) = sum_{d|m} (d F_r(d)) (m/d)^r, multiplies the table of m^r by one
+Euler factor of d F_r(d) per prime, and shares no code with the sieve.
 """
 
 import math
@@ -53,7 +53,14 @@ else:
         return Fraction(numerator, denominator, _normalize=False)
 
 
+def _check_int(name: str, value: int) -> None:
+    # exactly an int: a float or a bool would reach the integer arithmetic
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
 def _check_r(r: int, cap: int, what: str) -> None:
+    _check_int("r", r)
     if r < 2:
         raise DomainError(f"r must be >= 2, got {r}")
     if r > cap:
@@ -69,6 +76,7 @@ def euler_factor_data(r: int, p: int) -> tuple[int, int]:
     p^r (p(p-1)h_r(p) - x_r(p)), where p(p-1)h_r(p) - x_r(p) = (-1)^r.
     """
     _check_r(r, _R_CAP, "Euler factor")
+    _check_int("p", p)
     if p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
     pr = p**r
@@ -83,6 +91,7 @@ def euler_factor(r: int, p: int) -> float:
     r is capped at 256, as in ``alpha_r``.
     """
     _check_r(r, _R_CAP, "Euler factor")
+    _check_int("p", p)
     if p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
     pr = p**r
@@ -92,13 +101,14 @@ def euler_factor(r: int, p: int) -> float:
 
 def _check_alpha_args(r: int, prime_bound: int) -> None:
     _check_r(r, _R_CAP, "Euler product")
+    _check_int("prime bound", prime_bound)
     if prime_bound < 1:
         raise DomainError(f"prime bound must be >= 1, got {prime_bound}")
     if prime_bound > _PRIME_BOUND_CAP:
         raise ScaleError(f"prime bound capped at <= 10^7, got {prime_bound}")
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def alpha_r(r: int, prime_bound: int) -> float:
     """Partial Euler product over primes p <= prime_bound.
 
@@ -108,8 +118,10 @@ def alpha_r(r: int, prime_bound: int) -> float:
     alpha_r, and for every r >= 2 the truncation error satisfies
     0 <= alpha_r(r, P) - alpha_r < alpha_r(r, P) * (r + 1)/P, from the
     tail sum of (r + 1)/n^2 over n > P.  The odd-only prime sieve takes
-    prime_bound/2 bytes; prime_bound is capped at 10^7 and r at 256.  Each product
-    is kept, a float per (r, prime_bound), since reports repeat them.  The factors
+    prime_bound/2 bytes; prime_bound is capped at 10^7 and r at 256.  Each
+    product is kept, a float per (r, prime_bound), since reports repeat
+    them; the cache is typed, so alpha_r(2.0, 100) misses alpha_r(2, 100)
+    and is refused.  The factors
     are ``euler_factor``'s, bit for bit: its exact numerator, written as
     (p - 1)(p^(r+1) + p (p - 1)^(r-1) + (-1)^r (p - 1)), over p^(r+2).
     """
@@ -139,23 +151,28 @@ def _spf_table(x: int) -> array:
     return spf
 
 
-def _multiplicative_ints(spf: array, at_p, at_p2, step, indices) -> list[int]:
-    """Integer values of a multiplicative f at 1 and at the given m >= 2.
+def _r_sieve(r: int, x: int) -> list[int]:
+    """R(m) = m g_r(m) for every m <= x, as a list over 0..x with R(0) = 0.
 
-    Returns a list over 0..x (x = len(spf) - 1) that is 0 off those m.
-    f is given by its values f(p) = at_p[p] and f(p^2) = at_p2[p] and by
-    f(p^(e+1)) = step[p] f(p^e) for e >= 2; at_p2 and step are only read
-    at primes p <= sqrt(x).  One pass over the increasing indices, with
-    p = spf[m] or m, the smallest prime factor in the convention of
-    ``_spf_table``: f(m) = f(m/p) f(p) when p divides m once,
-    f(m/p^2) f(p^2) when twice, and f(m/p) step[p] when at least three
-    times.  So m/p and m/p^2 must be indices (or 1) whenever m is, as they
-    are for all of 2..x and for the m with no prime factor above a given
-    bound.
+    R is multiplicative with R(p) = x_r(p) and, for e >= 2,
+    R(p^e) = p^e p^((e-1)(r-1)) (p-1) h_r(p), so R(p^(e+1)) = p^r R(p^e).
+    One pass over m = 2..x, with p = spf[m] or m the smallest prime factor
+    from ``_spf_table``: R(m) = R(m/p) R(p) when p divides m once,
+    R(m/p^2) R(p^2) when twice, and R(m/p) p^r when at least three times.
+    R(p^2) comes from ``products._r_local``; R(p) is its e = 1 case,
+    x_r(p) = (p-1)^r + (-1)^r (p-2), written out here so that no call or
+    cap check is paid per prime: the callers have checked r already.
     """
-    out = [0] * len(spf)
+    spf = _spf_table(x)
+    primes = _primes_upto(x)
+    small = primes[: bisect_right(primes, math.isqrt(x))]
+    sign = (-1) ** r
+    at_p = {p: (p - 1) ** r + sign * (p - 2) for p in primes}
+    at_p2 = {p: _r_local(p, (2,) * r) for p in small}
+    step = {p: p**r for p in small}
+    out = [0] * (x + 1)
     out[1] = 1
-    for m in indices:
+    for m in range(2, x + 1):
         p = spf[m] or m
         n = m // p
         if n % p:
@@ -167,26 +184,9 @@ def _multiplicative_ints(spf: array, at_p, at_p2, step, indices) -> list[int]:
     return out
 
 
-def _r_sieve(r: int, x: int) -> tuple[array, list[int]]:
-    """The ``_spf_table`` of x and R(m) = m g_r(m) for every m <= x.
-
-    R is multiplicative with R(p) = x_r(p) and, for e >= 2,
-    R(p^e) = p^e p^((e-1)(r-1)) (p-1) h_r(p), so R(p^(e+1)) = p^r R(p^e).
-    R(p^2) comes from ``products._r_local``; R(p) is its e = 1 case,
-    x_r(p) = (p-1)^r + (-1)^r (p-2), written out here so that no call or
-    cap check is paid per prime: the callers have checked r already.
-    """
-    spf = _spf_table(x)
-    primes = _primes_upto(x)
-    small = primes[: bisect_right(primes, math.isqrt(x))]
-    sign = (-1) ** r
-    at_p = {p: (p - 1) ** r + sign * (p - 2) for p in primes}
-    at_p2 = {p: _r_local(p, (2,) * r) for p in small}
-    return spf, _multiplicative_ints(spf, at_p, at_p2, {p: p**r for p in small}, range(2, x + 1))
-
-
 def _check_sieve_args(r: int, x: int) -> None:
     _check_r(r, _SIEVE_R_CAP, "sieve")
+    _check_int("x", x)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     if x > _SIEVE_CAP:
@@ -204,7 +204,7 @@ def g_r_sieve(r: int, x: int) -> list[Fraction]:
     its sum checks that route.
     """
     _check_sieve_args(r, x)
-    _, big_r = _r_sieve(r, x)
+    big_r = _r_sieve(r, x)
     return [Fraction(0)] + [Fraction(big_r[m], m) for m in range(1, x + 1)]
 
 
@@ -212,30 +212,30 @@ def dirichlet_decomposition_check(r: int, m_bound: int) -> bool:
     """Verify g_r(m) = sum_{d|m} F_r(d) (m/d)^(r-1) exactly for m <= m_bound.
 
     F_r is multiplicative and vanishes on cubes.  The identity is checked
-    in integers, times m: R(m) = m g_r(m) from the sieve against
-    sum_{d|m} (d F_r(d)) (m/d)^r, where d F_r(d) is multiplicative with
-    the integer values of ``euler_factor_data`` at p and p^2, closed forms
-    that do not read the sieve's h_r(p).  Returns False on any mismatch.
+    in integers, times m: R(m) = m g_r(m) from the sieve against the
+    Dirichlet product of d F_r(d) and id_r, whose series is that of id_r
+    times 1 + a p^-s + b p^-2s over the primes, with (a, b) the closed
+    forms of ``euler_factor_data(r, p)``, which do not read the sieve's
+    h_r(p).  Each factor goes into the table of k^r as two strided slice
+    updates, along the multiples of p and of p^2, that read a copy of the
+    table's head, so no table of d F_r(d) is formed and no code is shared
+    with the sieve.  Returns False on any mismatch.
     """
     _check_r(r, _SIEVE_R_CAP, "decomposition check")
+    _check_int("m_bound", m_bound)
     if m_bound < 1:
         raise DomainError(f"m_bound must be >= 1, got {m_bound}")
     if m_bound > _DIRICHLET_CAP:
         raise ScaleError(f"decomposition check capped at m <= 10^4, got {m_bound}")
 
-    spf, big_r = _r_sieve(r, m_bound)
-    at_p, at_p2 = {}, {}
+    conv = [k**r for k in range(m_bound + 1)]
     for p in _primes_upto(m_bound):
-        at_p[p], at_p2[p] = euler_factor_data(r, p)
-    d_f = _multiplicative_ints(spf, at_p, at_p2, dict.fromkeys(at_p2, 0), range(2, m_bound + 1))
-    powers = [k**r for k in range(m_bound + 1)]
-    conv = [0] * (m_bound + 1)
-    for d in range(1, m_bound + 1):
-        fd = d_f[d]
-        if fd:
-            for k in range(1, m_bound // d + 1):
-                conv[d * k] += fd * powers[k]
-    return conv[1:] == big_r[1:]
+        a, b = euler_factor_data(r, p)
+        head = conv[: m_bound // p + 1]
+        conv[p::p] = [t + a * h for t, h in zip(conv[p::p], islice(head, 1, None))]
+        if (q := p * p) <= m_bound:
+            conv[q::q] = [t + b * h for t, h in zip(conv[q::q], islice(head, 1, None))]
+    return conv == _r_sieve(r, m_bound)
 
 
 class AsymptoticReport(_Record):
@@ -314,10 +314,11 @@ def g_r_partial_sum(r: int, x: int) -> Fraction:
     (g_r(p) = x_r(p)/p), and adds c (L // q), where L is the node's own
     part: its leaf and its terms D g_r(p^(e+1)).  The division is exact by the same argument: L
     is D times a sum of g_r over numbers whose primes lie in [p_j, s], and
-    the primes of q are distinct and below p_j.  The prefix N = D S at every
-    k <= s comes from a walk over the same smallest primes: every k <= s
-    is smooth, D g_r(k p) = (D g_r(k) // p) x_r(p) for p not dividing k,
-    exact for the same reason, and D g_r(k p^e) = D g_r(k) g_r(p^e).
+    the primes of q are distinct and below p_j.  The prefix N = D S at
+    every k <= s is recorded by the same walk: each node carries k, the
+    product of the prime powers on its path (v = x // k, c/q = g_r(k)),
+    and every k <= s is reached as a node, which records
+    D g_r(k) = c (D // q).
     The work grows with the recursion's nodes (850 at x = 30367), not with
     the smooth m (11145 there); nothing x-sized is held but the primes,
     and no reference cycle is left for the garbage collector.
@@ -344,16 +345,22 @@ def g_r_partial_sum(r: int, x: int) -> Fraction:
     small = primes[:cut]
     d = math.prod(small)
     sign = (-1) ** r
-    at_p = [(p - 1) ** r + sign * (p - 2) for p in small]  # x_r(p) = R(p)
+    # x_r(p) = R(p) for every prime, listed up to s and read on for the rest
+    xrs = ((p - 1) ** r + sign * (p - 2) for p in primes)
+    xr = list(islice(xrs, cut))
     at_p2 = [_r_local(p, (2,) * r) // (p * p) for p in small]  # g_r(p^2)
     steps = [p ** (r - 1) for p in small]
-    leaf = [0, *accumulate(d // p * xp for p, xp in zip(small, at_p))]
+    leaf = [0, *accumulate(d // p * xp for p, xp in zip(small, xr))]
 
-    # F(x, 0): each node (v, j, c, q) adds c (L // q) and pushes its children
+    # F(x, 0): each node (v, k, j, c, q) adds c (L // q), records D g_r(k)
+    # at k <= s and pushes its children
     whole = d
-    stack = [(x, 0, 1, 1)]
+    scaled = [0] * (s + 1)
+    stack = [(x, 1, 0, 1, 1)]
     while stack:
-        v, j, c, q = stack.pop()
+        v, k, j, c, q = stack.pop()
+        if k <= s:
+            scaled[k] = c * (d // q)
         local = leaf[bisect_right(small, v)] - leaf[j]
         for i in range(j, cut):
             p = small[i]
@@ -361,36 +368,20 @@ def g_r_partial_sum(r: int, x: int) -> Fraction:
                 break
             g = at_p2[i]
             local += d * g
-            stack.append((v // p, i + 1, c * at_p[i], q * p))
-            w = v // p // p
+            stack.append((v // p, k * p, i + 1, c * xr[i], q * p))
+            w, kp = v // p // p, k * p * p
             while w >= p:
-                stack.append((w, i + 1, c * g, q))
+                stack.append((w, kp, i + 1, c * g, q))
                 g *= steps[i]
                 local += d * g
                 w //= p
+                kp *= p
         whole += c * (local // q)
 
-    scaled = [0, d] + [0] * (s - 1)  # D g_r(k) at k <= s
-    stack = [(1, 0)]
-    while stack:
-        k, j = stack.pop()
-        base = scaled[k]
-        for i in range(j, cut):
-            p = small[i]
-            m = k * p
-            if m > s:
-                break
-            scaled[m] = base // p * at_p[i]
-            stack.append((m, i + 1))
-            g = at_p2[i]
-            while (m := m * p) <= s:
-                scaled[m] = base * g
-                stack.append((m, i + 1))
-                g *= steps[i]
     prefix = list(accumulate(scaled))
     terms = []
-    for p in islice(primes, cut, None):
-        carry, c = divmod(((p - 1) ** r + sign * (p - 2)) * prefix[x // p], p)
+    for p, xp in zip(islice(primes, cut, None), xrs):
+        carry, c = divmod(xp * prefix[x // p], p)
         whole += carry
         if c:
             terms.append((c, p))

@@ -39,6 +39,41 @@ def test_empty_product():
     assert alpha_r(5, 1) == 1.0
 
 
+def test_non_int_arguments_are_domain_errors():
+    # a float or a bool would reach the integer arithmetic: alpha_r(2.5, 100)
+    # was complex and euler_factor(2, 3.0) a float; the others raised TypeError
+    calls = [
+        (alpha_r, (2.5, 100)),
+        (alpha_r, (2, 100.0)),
+        (alpha_r, (True, 100)),
+        (euler_factor, (2, 3.0)),
+        (euler_factor, (2.0, 3)),
+        (euler_factor_data, (2, True)),
+        (g_r_partial_sum, (2, 10.5)),
+        (g_r_partial_sum, (3, False)),
+        (g_r_sieve, (2, 10.0)),
+        (asymptotic_report, (2.0, 200, 100)),
+        (asymptotic_report, (2, 200, 100.0)),
+        (dirichlet_decomposition_check, (2, 200.0)),
+        (dirichlet_decomposition_check, (2.0, 200)),
+    ]
+    for call, args in calls:
+        with pytest.raises(DomainError, match="must be an integer, got (float|bool)"):
+            call(*args)
+
+
+@pytest.mark.parametrize("cached_first", [True, False])
+def test_alpha_r_cache_does_not_skip_the_int_check(cached_first):
+    # alpha_r(2.0, 100) == alpha_r(2, 100) as cache keys unless the cache is typed
+    alpha_r.cache_clear()
+    if cached_first:
+        assert alpha_r(2, 100) > 0
+    for args in ((2.0, 100), (2, 100.0), (True, 100)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            alpha_r(*args)
+    assert alpha_r(2, 100) == alpha_r.__wrapped__(2, 100)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         alpha_r(1, 100)
@@ -252,6 +287,59 @@ def test_dirichlet_decomposition_small():
     assert dirichlet_decomposition_check(4, 200)
 
 
+def _divisor_sum_reference(r, x):
+    """sum_{d|m} (d F_r(d)) (m/d)^r at every m <= x, d F_r(d) by trial division."""
+
+    def d_f(d):
+        out = 1
+        for p in _primes_upto(d):
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                out *= (1, *euler_factor_data(r, p), 0)[min(e, 3)]
+        return out
+
+    table = [0, *map(d_f, range(1, x + 1))]
+    return [sum(table[d] * (m // d) ** r for d in range(1, m + 1) if m % d == 0) for m in range(x + 1)]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_dirichlet_convolution_equals_divisor_sums(monkeypatch, r):
+    # with the sieve replaced by the divisor sums, the check holds at every
+    # bound up to 600, prime squares among them, so every m is compared
+    reference = _divisor_sum_reference(r, 600)
+    monkeypatch.setattr(asymptotics, "_r_sieve", lambda r, x: reference[: x + 1])
+    for m in range(1, 601):
+        assert dirichlet_decomposition_check(r, m), (r, m)
+
+
+@pytest.mark.parametrize("m", [72, 210])
+def test_dirichlet_check_sees_one_corrupted_r_value(monkeypatch, m):
+    exact = asymptotics._r_sieve
+
+    def corrupted(r, x):
+        out = exact(r, x)
+        out[m] += 1
+        return out
+
+    monkeypatch.setattr(asymptotics, "_r_sieve", corrupted)
+    for r in (2, 3):
+        assert not dirichlet_decomposition_check(r, 300), (r, m)
+
+
+def test_dirichlet_check_does_not_go_through_the_sieve_kernel(monkeypatch):
+    # the check's side of the identity must not share the sieve's table
+    def forbidden(*args):
+        raise AssertionError("the check reached the sieve's table")
+
+    monkeypatch.setattr(asymptotics, "_spf_table", forbidden)
+    monkeypatch.setattr(asymptotics, "_r_sieve", lambda r, x: [0] + [m * g_r_value(r, m) for m in range(1, x + 1)])
+    for r in (2, 3, 4):
+        assert dirichlet_decomposition_check(r, 500), r
+
+
 def test_report_trivial_x():
     rep = asymptotic_report(2, 1, 100)
     assert rep.empirical == 1
@@ -331,7 +419,7 @@ def test_partial_sum_does_not_go_through_the_sieve(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the partial sum reached the sieve")
 
-    for name in ("_multiplicative_ints", "_spf_table", "_r_sieve"):
+    for name in ("_spf_table", "_r_sieve"):
         monkeypatch.setattr(asymptotics, name, forbidden)
     assert g_r_partial_sum(3, 5000) == expected
     with pytest.raises(AssertionError, match="reached the sieve"):
